@@ -6,6 +6,7 @@ text is the report layer's job.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +86,13 @@ class ChecklistScore:
     metric: Fraction
 
 
+def score_nfr(nfr: Nfr) -> ChecklistScore:
+    """Score one NFR's checklist: its yes-count over eight."""
+    record = nfr.checklist
+    return ChecklistScore(nfr.id, record.yes_count, record.answered_count,
+                          Fraction(record.yes_count, CHECKLIST_SIZE))
+
+
 def score_checklist(model: Model, nfr_id: str | None = None) -> ChecklistScore:
     """Score the eight-question checklist.
 
@@ -96,10 +104,7 @@ def score_checklist(model: Model, nfr_id: str | None = None) -> ChecklistScore:
     if nfr_id is not None:
         for nfr in model.nfrs:
             if nfr.id == nfr_id:
-                record = nfr.checklist
-                return ChecklistScore(nfr_id, record.yes_count,
-                                      record.answered_count,
-                                      Fraction(record.yes_count, CHECKLIST_SIZE))
+                return score_nfr(nfr)
         raise UnknownIdError(f"unknown NFR id: {nfr_id!r}")
 
     yes = 0
@@ -129,16 +134,22 @@ class TraceabilityMatrix:
         return sum(self.marks[row])
 
 
-def build_traceability_matrix(model: Model) -> TraceabilityMatrix:
+def build_traceability_matrix(model: Model, *,
+                              diagnostics: Sequence[Diagnostic] | None = None
+                              ) -> TraceabilityMatrix:
     """Derive the NFR x goal matrix.
 
     A cell is marked when the NFR attaches to the goal directly or to
     any sub-goal that lists the goal as a parent (sub-goal attachments
     lift to every parent).  Refuses models with error-severity
     diagnostics; warnings (say, an NFR attached to nothing) pass
-    through and simply yield empty rows.
+    through and simply yield empty rows.  ``diagnostics`` is what
+    ``validate_structure(model)`` returned; the model is validated here
+    only when it is not given.
     """
-    errors = [d for d in validate_structure(model) if d.severity == "error"]
+    if diagnostics is None:
+        diagnostics = validate_structure(model)
+    errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise InvalidModelError(errors)
 

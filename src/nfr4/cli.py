@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
     EmptyMatrixError,
     EmptyModelError,
-    InvalidModelError,
     ThresholdMode,
     build_traceability_matrix,
     compute_mcr,
@@ -43,16 +42,6 @@ EXIT_PRECONDITION = 3
 EXIT_USAGE = 64
 
 
-@dataclass(frozen=True, slots=True)
-class CliConfig:
-    command: str
-    input_path: str
-    format: str = "text"
-    mode: ThresholdMode = ThresholdMode.mean()
-    strict: bool = False
-    legend: bool = True
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for bad models."""
 
@@ -67,7 +56,11 @@ def _parse_mode(text: str) -> ThresholdMode:
     if text.startswith("top_k="):
         return ThresholdMode.top_k(int(text[len("top_k="):]))
     if text.startswith("absolute="):
-        return ThresholdMode.absolute(Fraction(text[len("absolute="):]))
+        try:
+            threshold = Fraction(text[len("absolute="):])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        return ThresholdMode.absolute(threshold)
     raise ValueError(f"expected mean, top_k=K or absolute=T, got {text!r}")
 
 
@@ -76,46 +69,42 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Four-layer NFR model analysis")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str,
+                    handler: Callable[[argparse.Namespace], int]
+                    ) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("input", help="model file, or - for stdin")
+        sub.set_defaults(handler=handler)
         return sub
 
-    check = add_command("check", "parse and lint a model")
+    check = add_command("check", "parse and lint a model", _cmd_check)
     check.add_argument("--strict", action="store_true",
                        help="treat warnings as errors")
 
-    add_command("metrics", "print completeness and validation metrics")
+    add_command("metrics", "print completeness and validation metrics",
+                _cmd_metrics)
 
-    matrix = add_command("matrix", "print the NFR x goal traceability table")
+    matrix = add_command("matrix", "print the NFR x goal traceability table",
+                         _cmd_ranking)
     matrix.add_argument("--mode", type=_parse_mode, default=ThresholdMode.mean(),
                         help="critical threshold: mean, top_k=K or absolute=T")
     matrix.add_argument("--legend", action=argparse.BooleanOptionalAction,
                         default=True, help="append the goal legend")
 
-    critical = add_command("critical", "print NFR scores and the critical set")
+    critical = add_command("critical", "print NFR scores and the critical set",
+                           _cmd_ranking)
     critical.add_argument("--mode", type=_parse_mode,
                           default=ThresholdMode.mean(),
                           help="critical threshold: mean, top_k=K or absolute=T")
 
-    report = add_command("report", "print the full analysis report")
+    report = add_command("report", "print the full analysis report",
+                         _cmd_report)
     report.add_argument("--format", choices=("text", "markdown", "json"),
                         default="text")
     report.add_argument("--mode", type=_parse_mode,
                         default=ThresholdMode.mean(),
                         help="critical threshold: mean, top_k=K or absolute=T")
     return parser
-
-
-def _config_from_args(namespace: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=namespace.command,
-        input_path=namespace.input,
-        format=getattr(namespace, "format", "text"),
-        mode=getattr(namespace, "mode", ThresholdMode.mean()),
-        strict=getattr(namespace, "strict", False),
-        legend=getattr(namespace, "legend", True),
-    )
 
 
 def _display_path(path: str) -> str:
@@ -144,50 +133,42 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str) -> None:
               f" {diagnostic.message}", file=sys.stderr)
 
 
-def _load(path: str, failure_code: int) -> Model | int:
-    """Read and parse the input, or return the exit code to use."""
+def _load_gated(path: str,
+                failure_code: int) -> tuple[Model, list[Diagnostic]] | int:
+    """Read, parse and lint the input, or return the exit code to use.
+
+    Diagnostics go to stderr; error-severity ones refuse the model.
+    """
     try:
         raw = _read_input(path)
     except OSError as exc:
         print(f"error: cannot read {_display_path(path)}: {exc}",
               file=sys.stderr)
         return failure_code
-    result = parse(raw, source_path=None if path == "-" else path)
-    if isinstance(result, list):
-        _print_parse_errors(result, path)
+    model = parse(raw, source_path=None if path == "-" else path)
+    if isinstance(model, list):
+        _print_parse_errors(model, path)
         return failure_code
-    return result
-
-
-def _cmd_check(config: CliConfig) -> int:
-    model = _load(config.input_path, EXIT_CHECK_FAILED)
-    if isinstance(model, int):
-        return model
     diagnostics = validate_structure(model)
-    _print_diagnostics(diagnostics, config.input_path)
+    _print_diagnostics(diagnostics, path)
     if any(d.severity == "error" for d in diagnostics):
-        return EXIT_CHECK_FAILED
-    if diagnostics and config.strict:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        return failure_code
+    return model, diagnostics
 
 
-def _load_gated(config: CliConfig) -> Model | int:
-    """Load a model for analysis; error diagnostics refuse it (exit 2)."""
-    model = _load(config.input_path, EXIT_INVALID_MODEL)
-    if isinstance(model, int):
-        return model
-    diagnostics = validate_structure(model)
-    _print_diagnostics(diagnostics, config.input_path)
-    if any(d.severity == "error" for d in diagnostics):
-        return EXIT_INVALID_MODEL
-    return model
+def _cmd_check(args: argparse.Namespace) -> int:
+    loaded = _load_gated(args.input, EXIT_CHECK_FAILED)
+    if isinstance(loaded, int):
+        return loaded
+    _, diagnostics = loaded
+    return EXIT_CHECK_FAILED if diagnostics and args.strict else EXIT_OK
 
 
-def _cmd_metrics(config: CliConfig) -> int:
-    model = _load_gated(config)
-    if isinstance(model, int):
-        return model
+def _cmd_metrics(args: argparse.Namespace) -> int:
+    loaded = _load_gated(args.input, EXIT_INVALID_MODEL)
+    if isinstance(loaded, int):
+        return loaded
+    model, _ = loaded
     try:
         completeness = compute_mcr(model)
     except EmptyModelError as exc:
@@ -198,35 +179,22 @@ def _cmd_metrics(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_matrix(config: CliConfig) -> int:
-    model = _load_gated(config)
-    if isinstance(model, int):
-        return model
+def _cmd_ranking(args: argparse.Namespace) -> int:
+    """``matrix`` prints the ranked table, ``critical`` the scores."""
+    loaded = _load_gated(args.input, EXIT_INVALID_MODEL)
+    if isinstance(loaded, int):
+        return loaded
+    model, diagnostics = loaded
     try:
-        matrix = build_traceability_matrix(model)
-        criticality = rank_criticality(matrix, config.mode)
-    except InvalidModelError:
-        return EXIT_INVALID_MODEL
+        matrix = build_traceability_matrix(model, diagnostics=diagnostics)
+        criticality = rank_criticality(matrix, args.mode)
     except EmptyMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    print(render_matrix_table(matrix, criticality, legend=config.legend),
-          end="")
-    return EXIT_OK
-
-
-def _cmd_critical(config: CliConfig) -> int:
-    model = _load_gated(config)
-    if isinstance(model, int):
-        return model
-    try:
-        matrix = build_traceability_matrix(model)
-        criticality = rank_criticality(matrix, config.mode)
-    except InvalidModelError:
-        return EXIT_INVALID_MODEL
-    except EmptyMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    if args.command == "matrix":
+        print(render_matrix_table(matrix, criticality, legend=args.legend),
+              end="")
+        return EXIT_OK
     for nfr_id, score in zip(criticality.nfr_ids, criticality.scores):
         print(f"{nfr_id}: {score}")
     print(f"threshold ({criticality.threshold_mode}):"
@@ -235,45 +203,26 @@ def _cmd_critical(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_report(config: CliConfig) -> int:
-    model = _load_gated(config)
-    if isinstance(model, int):
-        return model
+def _cmd_report(args: argparse.Namespace) -> int:
+    loaded = _load_gated(args.input, EXIT_INVALID_MODEL)
+    if isinstance(loaded, int):
+        return loaded
+    model, diagnostics = loaded
     try:
-        bundle = build_bundle(model, config.mode)
+        bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
     except EmptyModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InvalidModelError:
-        return EXIT_INVALID_MODEL
-    if config.format == "json":
+    if args.format == "json":
         print(export_json(bundle))
     else:
-        print(render_summary(bundle, config.format), end="")
+        print(render_summary(bundle, args.format), end="")
     return EXIT_OK
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "metrics": _cmd_metrics,
-    "matrix": _cmd_matrix,
-    "critical": _cmd_critical,
-    "report": _cmd_report,
-}
-
-
-def run(config: CliConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
-        return EXIT_USAGE
-    return handler(config)
-
-
 def main(argv: list[str] | None = None) -> None:
-    namespace = build_parser().parse_args(argv)
-    sys.exit(run(_config_from_args(namespace)))
+    args = build_parser().parse_args(argv)
+    sys.exit(args.handler(args))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .model import (
     CHECKLIST_SIZE,
-    ChecklistRecord,
     Goal,
     Model,
     Nfr,
@@ -40,18 +39,9 @@ from .model import (
     YES,
 )
 
-ERROR_KINDS = frozenset({
-    "unknown-keyword",
-    "malformed-line",
-    "bad-identifier",
-    "unterminated-string",
-    "duplicate-system",
-    "missing-system",
-    "bad-checklist-index",
-    "bad-checklist-answer",
-})
-
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects.
+_INDEX_RE = re.compile(r"[0-9]+\Z")
 _KEYWORDS = ("system", "stakeholder", "goal", "subgoal", "nfr", "check")
 _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
 
@@ -174,7 +164,7 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
         if ident.kind != "word" or not _ID_RE.match(ident.text):
             return error("bad-identifier",
                          f"bad identifier '{ident.text}'", ident.column)
-        if index_tok.kind != "word" or not index_tok.text.isdigit() \
+        if index_tok.kind != "word" or not _INDEX_RE.match(index_tok.text) \
                 or not 1 <= int(index_tok.text) <= CHECKLIST_SIZE:
             return error("bad-checklist-index",
                          f"checklist question number must be 1..{CHECKLIST_SIZE},"
@@ -257,10 +247,12 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
     """Parse DSL text into a Model, or return every error found.
 
     Never raises on malformed input: all problems in one pass come back
-    as the error list.  Bytes are decoded as UTF-8 with replacement.
+    as the error list.  Bytes are decoded as UTF-8 with replacement; one
+    leading byte order mark is dropped.
     """
     if isinstance(source, (bytes, bytearray)):
         source = bytes(source).decode("utf-8", errors="replace")
+    source = source.removeprefix("\ufeff")
 
     errors: list[ParseError] = []
     statements: list[_Statement] = []

@@ -81,23 +81,15 @@ class ChecklistRecord:
     """Answers to the eight validation questions for one NFR.
 
     ``answers`` always has exactly eight slots, each ``yes``, ``no`` or
-    ``unanswered``.  ``notes`` is free-form annotation; it has no DSL
-    syntax and is excluded from equality so round-tripping a model
-    through the DSL compares equal.
+    ``unanswered``.
     """
 
     answers: tuple[str, ...] = (UNANSWERED,) * CHECKLIST_SIZE
-    notes: tuple[str | None, ...] = field(
-        default=(None,) * CHECKLIST_SIZE, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "answers", _as_tuple(self.answers))
-        object.__setattr__(self, "notes", _as_tuple(self.notes))
         if len(self.answers) != CHECKLIST_SIZE:
             raise ValueError(f"checklist must have {CHECKLIST_SIZE} answers")
-        if len(self.notes) != CHECKLIST_SIZE:
-            raise ValueError(f"checklist must have {CHECKLIST_SIZE} notes")
         for answer in self.answers:
             if answer not in ANSWERS:
                 raise ValueError(f"bad checklist answer: {answer!r}")
@@ -108,7 +100,7 @@ class ChecklistRecord:
             raise ValueError(f"checklist index out of range: {index}")
         answers = list(self.answers)
         answers[index - 1] = answer
-        return ChecklistRecord(tuple(answers), self.notes)
+        return ChecklistRecord(tuple(answers))
 
     @property
     def yes_count(self) -> int:

@@ -7,6 +7,7 @@ output -- and text output ends with exactly one trailing newline.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .analysis import (
     compute_mcr,
     rank_criticality,
     score_checklist,
+    score_nfr,
 )
 from .model import CHECKLIST_SIZE, Diagnostic, Model, validate_structure
 
@@ -57,21 +59,24 @@ class ReportBundle:
     criticality: CriticalityReport
 
 
-def build_bundle(model: Model, mode: ThresholdMode | None = None) -> ReportBundle:
+def build_bundle(model: Model, mode: ThresholdMode | None = None, *,
+                 diagnostics: Sequence[Diagnostic] | None = None) -> ReportBundle:
     """Run the full analysis for one model.
 
     Raises EmptyModelError on a model without NFRs and InvalidModelError
     on one with error-severity diagnostics; warnings ride along in the
-    bundle.
+    bundle.  ``diagnostics`` is what ``validate_structure(model)``
+    returned; the model is validated here only when it is not given.
     """
-    diagnostics = tuple(validate_structure(model))
+    if diagnostics is None:
+        diagnostics = validate_structure(model)
     completeness = compute_mcr(model)
     whole = score_checklist(model)
-    per_nfr = tuple(score_checklist(model, n.id) for n in model.nfrs)
-    matrix = build_traceability_matrix(model)
+    per_nfr = tuple(score_nfr(n) for n in model.nfrs)
+    matrix = build_traceability_matrix(model, diagnostics=diagnostics)
     criticality = rank_criticality(matrix, mode)
-    return ReportBundle(model, diagnostics, completeness, whole, per_nfr,
-                        matrix, criticality)
+    return ReportBundle(model, tuple(diagnostics), completeness, whole,
+                        per_nfr, matrix, criticality)
 
 
 def render_matrix_table(matrix: TraceabilityMatrix,
@@ -132,62 +137,41 @@ def _critical_lines(bundle: ReportBundle) -> list[str]:
 
 def render_summary(bundle: ReportBundle, format: str = "text") -> str:
     """Human summary in text or markdown, same sections either way."""
-    if format not in ("text", "markdown"):
+    model = bundle.model
+    if format == "text":
+        parts, heading, gap, bullet, fence = [], "", [], "  ", []
+    elif format == "markdown":
+        parts = [f"# {model.system_name}", ""]
+        heading, gap, bullet, fence = "## ", [""], "- ", ["```"]
+    else:
         raise ValueError(f"unknown summary format: {format!r}")
 
-    model = bundle.model
-    model_lines = [
-        f"system: {model.system_name}",
-        f"stakeholders: {len(model.stakeholders)}",
-        f"goals: {len(model.goals)}",
-        f"sub-goals: {len(model.subgoals)}",
-        f"NFRs: {len(model.nfrs)}",
-    ]
-    diagnostic_lines = [_diagnostic_line(d) for d in bundle.diagnostics] or ["none"]
-    completeness_lines = [mcr_line(bundle.completeness)]
+    def bulleted(lines: list[str]) -> list[str]:
+        return [bullet + line for line in lines]
+
+    table = render_matrix_table(bundle.matrix, bundle.criticality)
     validation_lines = [validation_line(bundle.whole_model_score)]
     validation_lines.extend(validation_line(s) for s in bundle.per_nfr_scores)
-    table = render_matrix_table(bundle.matrix, bundle.criticality)
-
-    if format == "text":
-        parts = []
-        for title, lines in (
-            ("Model", model_lines),
-            ("Diagnostics", diagnostic_lines),
-            ("Completeness", completeness_lines),
-            ("Validation", validation_lines),
-        ):
-            parts.append(title)
-            parts.extend(f"  {line}" for line in lines)
-            parts.append("")
-        parts.append("Traceability")
-        parts.append(table.rstrip("\n"))
-        parts.append("")
-        parts.append("Critical NFRs")
-        parts.extend(f"  {line}" for line in _critical_lines(bundle))
-        return "\n".join(parts) + "\n"
-
-    parts = [f"# {model.system_name}", ""]
     for title, lines in (
-        ("Model", model_lines),
-        ("Diagnostics", diagnostic_lines),
-        ("Completeness", completeness_lines),
-        ("Validation", validation_lines),
+        ("Model", bulleted([
+            f"system: {model.system_name}",
+            f"stakeholders: {len(model.stakeholders)}",
+            f"goals: {len(model.goals)}",
+            f"sub-goals: {len(model.subgoals)}",
+            f"NFRs: {len(model.nfrs)}",
+        ])),
+        ("Diagnostics", bulleted(
+            [_diagnostic_line(d) for d in bundle.diagnostics] or ["none"])),
+        ("Completeness", bulleted([mcr_line(bundle.completeness)])),
+        ("Validation", bulleted(validation_lines)),
+        ("Traceability", [*fence, table.rstrip("\n"), *fence]),
+        ("Critical NFRs", bulleted(_critical_lines(bundle))),
     ):
-        parts.append(f"## {title}")
+        parts.append(heading + title)
+        parts.extend(gap)
+        parts.extend(lines)
         parts.append("")
-        parts.extend(f"- {line}" for line in lines)
-        parts.append("")
-    parts.append("## Traceability")
-    parts.append("")
-    parts.append("```")
-    parts.append(table.rstrip("\n"))
-    parts.append("```")
-    parts.append("")
-    parts.append("## Critical NFRs")
-    parts.append("")
-    parts.extend(f"- {line}" for line in _critical_lines(bundle))
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts)
 
 
 def export_json(bundle: ReportBundle) -> str:

@@ -1,9 +1,14 @@
 """Command behavior, exit codes and stream discipline of the CLI."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import nfr4
 
 from nfr4.analysis import (
     ThresholdMode,
@@ -11,6 +16,7 @@ from nfr4.analysis import (
     rank_criticality,
 )
 from nfr4.fixtures import ATM_PATH, LIBRARY_PATH
+from nfr4.model import validate_structure
 from nfr4.report import (
     build_bundle,
     export_json,
@@ -316,6 +322,7 @@ def test_stdin_errors_are_labeled(model_file):
     ["critical", "--mode", "top_k=x", "x.nfr4"],
     ["critical", "--mode", "absolute=-2", "x.nfr4"],
     ["metrics", "--strict", "x.nfr4"],
+    ["critical", "--mode", "absolute=1/0", "x.nfr4"],
 ])
 def test_bad_usage_exits_64(argv):
     code, _, err = run_cli(argv)
@@ -330,31 +337,68 @@ def test_usage_error_does_not_touch_the_input(model_file):
     assert code == 64
 
 
+# ------------------------------------------------------ validation count
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", LIBRARY],
+    ["report", "--format", "json", LIBRARY],
+    ["matrix", LIBRARY],
+    ["critical", LIBRARY],
+])
+def test_analysis_commands_validate_once(monkeypatch, argv):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate_structure(model)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "nfr4" or name.startswith("nfr4.")) \
+                and getattr(module, "validate_structure", None) \
+                is validate_structure:
+            monkeypatch.setattr(module, "validate_structure", counted)
+    assert run_cli(argv)[0] == 0
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------- installed script
 
 NFR4_BIN = shutil.which("nfr4")
+# The package's own location, so the child imports the code under test.
+PACKAGE_ROOT = str(Path(nfr4.__file__).resolve().parent.parent)
+LAUNCHERS = [
+    pytest.param([NFR4_BIN], id="script",
+                 marks=pytest.mark.skipif(NFR4_BIN is None,
+                                          reason="console script not on PATH")),
+    pytest.param([sys.executable, "-m", "nfr4.cli"], id="module"),
+]
 
 
-@pytest.mark.skipif(NFR4_BIN is None, reason="console script not on PATH")
-def test_installed_script_metrics():
-    proc = subprocess.run([NFR4_BIN, "metrics", LIBRARY],
-                          capture_output=True, text=True, timeout=30)
+def launch(launcher, argv, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run([*launcher, *argv], capture_output=True, env=env,
+                          timeout=30, **kwargs)
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_installed_script_metrics(launcher):
+    proc = launch(launcher, ["metrics", LIBRARY], text=True)
     assert proc.returncode == 0
     assert proc.stdout == "MCR = 6 / [6+0] = 1.0000\nvalidation: 8/8 = 1.0000\n"
     assert proc.stderr == ""
 
 
-@pytest.mark.skipif(NFR4_BIN is None, reason="console script not on PATH")
-def test_installed_script_check_stdin(library_text):
-    proc = subprocess.run([NFR4_BIN, "check", "-"],
-                          input=library_text.encode(),
-                          capture_output=True, timeout=30)
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_installed_script_check_stdin(launcher, library_text):
+    proc = launch(launcher, ["check", "-"], input=library_text.encode())
     assert proc.returncode == 0
     assert proc.stdout == b""
 
 
-@pytest.mark.skipif(NFR4_BIN is None, reason="console script not on PATH")
-def test_installed_script_usage_error():
-    proc = subprocess.run([NFR4_BIN, "definitely-not-a-command"],
-                          capture_output=True, timeout=30)
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_installed_script_usage_error(launcher):
+    proc = launch(launcher, ["definitely-not-a-command"])
     assert proc.returncode == 64

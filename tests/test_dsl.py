@@ -91,6 +91,10 @@ def test_crlf_input_equals_lf_input():
     assert lf == crlf
 
 
+def test_byte_order_mark_is_ignored(library_model, library_text):
+    assert parse(("\ufeff" + library_text).encode()) == library_model
+
+
 def test_parse_accepts_bytes():
     assert parsed(CANONICAL.encode()) == parsed(CANONICAL)
 
@@ -235,7 +239,7 @@ def test_malformed_statement_shapes():
 
 
 def test_checklist_index_bounds():
-    for bad in ("0", "9", "x", "12"):
+    for bad in ("0", "9", "x", "12", "²", "٣"):
         errors = errors_of(f'system "T"\ncheck n {bad} yes\n')
         assert [e.kind for e in errors] == ["bad-checklist-index"], bad
     assert errors_of('system "T"\ncheck n 9 yes\n')[0].span.column == 9

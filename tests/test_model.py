@@ -357,11 +357,6 @@ def test_checklist_rejects_bad_shapes():
         ChecklistRecord(("maybe",) + ("yes",) * 7)
 
 
-def test_checklist_notes_do_not_affect_equality():
-    noted = ChecklistRecord(notes=("check this",) + (None,) * 7)
-    assert noted == ChecklistRecord()
-
-
 def test_equality_ignores_source_provenance():
     assert Stakeholder("s", "S", line=3) == Stakeholder("s", "S", line=99)
     assert tiny_model() == Model(

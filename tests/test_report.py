@@ -1,6 +1,7 @@
 """Rendering: ratio formatting, tables, summaries and the JSON export."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -14,8 +15,16 @@ from nfr4.analysis import (
     ThresholdMode,
     build_traceability_matrix,
     rank_criticality,
+    score_checklist,
 )
-from nfr4.model import Goal, Model, Nfr, Stakeholder, SubGoal
+from nfr4.model import (
+    Goal,
+    Model,
+    Nfr,
+    Stakeholder,
+    SubGoal,
+    validate_structure,
+)
 from nfr4.report import (
     build_bundle,
     export_json,
@@ -25,6 +34,8 @@ from nfr4.report import (
     render_summary,
     validation_line,
 )
+
+from support import random_model
 
 
 def table_marks(table, n_rows):
@@ -108,6 +119,30 @@ def test_bundle_refuses_error_models():
                   (Nfr("n", "N", (), ("ghost",)),))
     with pytest.raises(InvalidModelError):
         build_bundle(model)
+
+
+def test_bundle_refuses_error_models_with_their_diagnostics():
+    model = Model("S", (Stakeholder("s", "S"),),
+                  (Goal("g", "G", ("s",)),), (SubGoal("sg", "SG", ("g",)),),
+                  (Nfr("n", "N", (), ("ghost",)),))
+    diagnostics = validate_structure(model)
+    with pytest.raises(InvalidModelError):
+        build_bundle(model, diagnostics=diagnostics)
+    with pytest.raises(InvalidModelError):
+        build_traceability_matrix(model, diagnostics=diagnostics)
+
+
+def test_bundle_agrees_with_given_diagnostics_and_per_id_scores():
+    random_state = random.Random(11)
+    for _ in range(200):
+        model = random_model(random_state)
+        if not model.nfrs:
+            continue
+        bundle = build_bundle(model)
+        assert bundle \
+            == build_bundle(model, diagnostics=validate_structure(model))
+        assert bundle.per_nfr_scores \
+            == tuple(score_checklist(model, n.id) for n in model.nfrs)
 
 
 def test_bundle_carries_warnings_through():
