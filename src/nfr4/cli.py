@@ -3,12 +3,15 @@
 Commands: check, metrics, matrix, critical, report.  Human output goes
 to stdout; diagnostics and errors go to stderr.  Exit codes: 0 success
 (warnings pass unless --strict), 1 check failed, 2 model invalid for
-analysis, 3 analysis precondition violated (e.g. no NFRs), 64 bad usage.
+analysis, 3 analysis precondition violated (e.g. no NFRs), 64 bad usage,
+141 stdout closed before the output was written (128 + SIGPIPE, as for
+``nfr4 report big.nfr4 | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -40,6 +43,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID_MODEL = 2
 EXIT_PRECONDITION = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +226,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
-    sys.exit(args.handler(args))
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at devnull so that the flush at
+        # interpreter exit does not fail again and print a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,30 +20,66 @@ LF or CRLF line endings; serialized output is LF only.
 the whole file is scanned, against goals first.  Unresolvable
 references are not parse errors -- they surface as REF diagnostics
 from ``validate_structure``.
+
+A well-formed line is read with one regex match for its keyword.  Every
+other line goes to the token walker, which finds its error (or that it
+is blank); the walker is the only source of parse errors and the
+reference the statement regexes are tested against.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     CHECKLIST_SIZE,
+    ChecklistRecord,
     Goal,
     Model,
     Nfr,
     NO,
     Stakeholder,
     SubGoal,
+    UNANSWERED,
     UnresolvedCheck,
     YES,
 )
 
-_ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+_ID = r"[a-z][a-z0-9_]*"
+_ID_RE = re.compile(_ID + r"\Z")
 # ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects.
 _INDEX_RE = re.compile(r"[0-9]+\Z")
 _KEYWORDS = ("system", "stakeholder", "goal", "subgoal", "nfr", "check")
 _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
+
+# One token: a comma, a quoted name, a bare word, the ``#`` that starts a
+# comment, or a quote that opens no name.  Only spaces and tabs fall
+# between matches.
+_TOKEN_RE = re.compile(
+    r'(?P<comma>,)|"(?P<string>[^"]*)"|(?P<word>[^ \t,"#]+)|(?P<comment>#)|"')
+
+# Well-formed statements, one regex per keyword.  A line fullmatches its
+# keyword's regex exactly when ``_parse_line`` accepts it, with the same
+# fields; every other line goes to ``_parse_line``.  ``_KEYWORD_RE`` reads
+# the leading lowercase word, which on a well-formed line is the keyword.
+_KEYWORD_RE = re.compile(r"[ \t]*([a-z]*)")
+_NAME = r'[ \t]*"([^"]*)"'
+_END = r"[ \t]*(?:#.*)?"
+_STATEMENT_RES = {
+    "system": re.compile(rf"[ \t]*system{_NAME}{_END}"),
+    "stakeholder": re.compile(
+        rf"[ \t]*stakeholder[ \t]+({_ID}){_NAME}{_END}"),
+    **{keyword: re.compile(rf"[ \t]*{keyword}[ \t]+({_ID}){_NAME}"
+                           rf"[ \t]*{connective}[ \t]+"
+                           rf"({_ID}(?:[ \t]*,[ \t]*{_ID})*){_END}")
+       for keyword, connective in _CONNECTIVE.items()},
+    "check": re.compile(rf"[ \t]*check[ \t]+({_ID})"
+                        rf"[ \t]+0*([1-{CHECKLIST_SIZE}])"
+                        rf"[ \t]+({YES}|{NO}){_END}"),
+}
+_REF_SEPARATOR_RE = re.compile(r"[ \t]*,[ \t]*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,15 +101,14 @@ class SerializeError(ValueError):
     """Raised when a model cannot be expressed in the DSL."""
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # word | string | comma
     text: str
     column: int
+    end: int  # column just past the token, closing quote included
 
 
-@dataclass(frozen=True, slots=True)
-class _Statement:
+class _Statement(NamedTuple):
     keyword: str
     line: int
     id: str = ""
@@ -83,42 +118,45 @@ class _Statement:
     answer: str = ""
 
 
+def _match_statement(text: str, lineno: int) -> _Statement | None:
+    """The statement on a well-formed line, or None for any other line."""
+    keyword = _KEYWORD_RE.match(text)[1]
+    pattern = _STATEMENT_RES.get(keyword)
+    match = pattern.fullmatch(text) if pattern is not None else None
+    if match is None:
+        return None
+    # Check statements, most lines of a large model, take the shared
+    # keyword and answer constants instead of the new strings a match
+    # returns; the model keeps every answer.
+    if keyword == "check":
+        ident, index, answer = match.groups()
+        return _Statement("check", lineno, ident, index=int(index),
+                          answer=YES if answer == YES else NO)
+    if keyword == "system":
+        return _Statement("system", lineno, name=match[1])
+    if keyword == "stakeholder":
+        return _Statement("stakeholder", lineno, match[1], match[2])
+    ident, name, refs = match.groups()
+    return _Statement(keyword, lineno, ident, name,
+                      tuple(_REF_SEPARATOR_RE.split(refs)))
+
+
 def _tokenize(text: str, lineno: int) -> list[_Token] | ParseError:
     """Split one line into tokens; ``#`` outside a string ends the line."""
     tokens: list[_Token] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        char = text[pos]
-        if char in " \t":
-            pos += 1
-        elif char == "#":
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "comment":
             break
-        elif char == ",":
-            tokens.append(_Token("comma", ",", pos + 1))
-            pos += 1
-        elif char == '"':
-            end = text.find('"', pos + 1)
-            if end < 0:
-                return ParseError(
-                    "unterminated-string",
-                    SourceSpan(lineno, pos + 1),
-                    "unterminated display name",
-                )
-            tokens.append(_Token("string", text[pos + 1:end], pos + 1))
-            pos = end + 1
-        else:
-            start = pos
-            while pos < length and text[pos] not in ' \t,"#':
-                pos += 1
-            tokens.append(_Token("word", text[start:pos], start + 1))
+        if kind is None:
+            return ParseError(
+                "unterminated-string",
+                SourceSpan(lineno, match.start() + 1),
+                "unterminated display name",
+            )
+        tokens.append(_Token(kind, match[kind], match.start() + 1,
+                             match.end() + 1))
     return tokens
-
-
-def _end_column(tokens: list[_Token], line_length: int) -> int:
-    if not tokens:
-        return 1
-    return min(tokens[-1].column + len(tokens[-1].text), line_length + 1)
 
 
 def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
@@ -137,7 +175,7 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
         return ParseError(kind, SourceSpan(lineno, column), message)
 
     def missing(message: str) -> ParseError:
-        return error("malformed-line", message, _end_column(tokens, len(text)))
+        return error("malformed-line", message, tokens[-1].end)
 
     head = tokens[0]
     if head.kind != "word" or head.text not in _KEYWORDS:
@@ -255,38 +293,39 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
     source = source.removeprefix("\ufeff")
 
     errors: list[ParseError] = []
-    statements: list[_Statement] = []
+    # Statements by keyword, each list in line order.
+    statements: dict[str, list[_Statement]] = {k: [] for k in _KEYWORDS}
     for lineno, raw in enumerate(source.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        result = _parse_line(line, lineno)
+        result = _match_statement(line, lineno)
+        if result is None:
+            result = _parse_line(line, lineno)
         if result is None:
             continue
         if isinstance(result, ParseError):
             errors.append(result)
         else:
-            statements.append(result)
+            statements[result.keyword].append(result)
 
-    system_name: str | None = None
-    first_element_line: int | None = None
-    for statement in statements:
-        if statement.keyword == "system":
-            if system_name is None:
-                system_name = statement.name
-                if first_element_line is not None:
-                    errors.append(ParseError(
-                        "missing-system",
-                        SourceSpan(first_element_line, 1),
-                        "element declared before the system statement",
-                    ))
-            else:
-                errors.append(ParseError(
-                    "duplicate-system",
-                    SourceSpan(statement.line, 1),
-                    "system is already declared",
-                ))
-        elif first_element_line is None:
-            first_element_line = statement.line
-    if system_name is None and not errors:
+    systems = statements["system"]
+    first_element_line = min((group[0].line for keyword, group
+                              in statements.items()
+                              if keyword != "system" and group), default=None)
+    if systems:
+        if first_element_line is not None \
+                and first_element_line < systems[0].line:
+            errors.append(ParseError(
+                "missing-system",
+                SourceSpan(first_element_line, 1),
+                "element declared before the system statement",
+            ))
+        for statement in systems[1:]:
+            errors.append(ParseError(
+                "duplicate-system",
+                SourceSpan(statement.line, 1),
+                "system is already declared",
+            ))
+    elif not errors:
         # A failed system line already carries its own error; only a file
         # with nothing else wrong gets the generic complaint.
         errors.append(ParseError(
@@ -296,25 +335,27 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
         errors.sort(key=lambda e: (e.span.line, e.span.column))
         return errors
 
-    stakeholders: list[Stakeholder] = []
-    goals: list[Goal] = []
-    subgoals: list[SubGoal] = []
-    nfr_statements: list[_Statement] = []
-    check_statements: list[_Statement] = []
-    for statement in statements:
-        if statement.keyword == "stakeholder":
-            stakeholders.append(Stakeholder(statement.id, statement.name,
-                                            line=statement.line))
-        elif statement.keyword == "goal":
-            goals.append(Goal(statement.id, statement.name, statement.refs,
-                              line=statement.line))
-        elif statement.keyword == "subgoal":
-            subgoals.append(SubGoal(statement.id, statement.name,
-                                    statement.refs, line=statement.line))
-        elif statement.keyword == "nfr":
-            nfr_statements.append(statement)
-        elif statement.keyword == "check":
-            check_statements.append(statement)
+    stakeholders = [Stakeholder(s.id, s.name, line=s.line)
+                    for s in statements["stakeholder"]]
+    goals = [Goal(s.id, s.name, s.refs, line=s.line)
+             for s in statements["goal"]]
+    subgoals = [SubGoal(s.id, s.name, s.refs, line=s.line)
+                for s in statements["subgoal"]]
+    nfr_statements = statements["nfr"]
+
+    # Every check answers the first NFR declared with its id; the last
+    # answer to a question wins.  Each Nfr is built once, answers and all.
+    answers = {statement.id: [UNANSWERED] * CHECKLIST_SIZE
+               for statement in nfr_statements}
+    unresolved: list[UnresolvedCheck] = []
+    for statement in statements["check"]:
+        slots = answers.get(statement.id)
+        if slots is None:
+            unresolved.append(UnresolvedCheck(statement.id, statement.index,
+                                              statement.answer,
+                                              line=statement.line))
+        else:
+            slots[statement.index - 1] = statement.answer
 
     goal_ids = {g.id for g in goals}
     subgoal_ids = {s.id for s in subgoals}
@@ -329,25 +370,14 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
                 attached_subgoals.append(ref)
             else:
                 attached_goals.append(ref)  # dangling; REF diagnostic later
+        slots = answers.pop(statement.id, None)
+        checklist = ChecklistRecord() if slots is None \
+            else ChecklistRecord(tuple(slots))
         nfrs.append(Nfr(statement.id, statement.name,
                         tuple(attached_subgoals), tuple(attached_goals),
-                        line=statement.line))
+                        checklist, line=statement.line))
 
-    by_id = {n.id: i for i, n in reversed(list(enumerate(nfrs)))}
-    unresolved: list[UnresolvedCheck] = []
-    for statement in check_statements:
-        position = by_id.get(statement.id)
-        if position is None:
-            unresolved.append(UnresolvedCheck(statement.id, statement.index,
-                                              statement.answer,
-                                              line=statement.line))
-            continue
-        nfr = nfrs[position]
-        record = nfr.checklist.with_answer(statement.index, statement.answer)
-        nfrs[position] = Nfr(nfr.id, nfr.name, nfr.attached_subgoals,
-                             nfr.attached_goals, record, line=nfr.line)
-
-    return Model(system_name, tuple(stakeholders), tuple(goals),
+    return Model(systems[0].name, tuple(stakeholders), tuple(goals),
                  tuple(subgoals), tuple(nfrs), tuple(unresolved),
                  source_path=source_path)
 

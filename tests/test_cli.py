@@ -376,11 +376,13 @@ LAUNCHERS = [
 
 
 def launch(launcher, argv, **kwargs):
+    """Run the CLI in a child; stdout and stderr are captured unless given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run([*launcher, *argv], capture_output=True, env=env,
-                          timeout=30, **kwargs)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([*launcher, *argv], env=env, timeout=30, **kwargs)
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
@@ -402,3 +404,19 @@ def test_installed_script_check_stdin(launcher, library_text):
 def test_installed_script_usage_error(launcher):
     proc = launch(launcher, ["definitely-not-a-command"])
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_closed_stdout_exits_141_quietly(launcher):
+    # As in `nfr4 report big.nfr4 | head`, but the reader is gone before
+    # the report is written, so every run hits the closed pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = launch(launcher, ["report", LIBRARY], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+    assert proc.stderr == b""

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from nfr4 import dsl
 from nfr4.dsl import ParseError, SerializeError, SourceSpan, parse, serialize
 from nfr4.model import (
     Goal,
@@ -170,6 +171,15 @@ def test_check_may_precede_its_nfr():
     assert model.unresolved_checks == ()
 
 
+def test_checks_answer_the_first_nfr_with_their_id():
+    # A duplicated NFR id is a DUP diagnostic, not a parse error.
+    model = parsed(CANONICAL + 'nfr n "Again" on g\ncheck n 2 no\n')
+    first, second = model.nfrs
+    assert first.checklist.answers[:2] == ("yes", "no")
+    assert second.checklist.answers == ("unanswered",) * 8
+    assert model.unresolved_checks == ()
+
+
 def test_check_with_unknown_nfr_is_kept_unresolved():
     model = parsed(CANONICAL + "check typo 2 no\n")
     assert model.unresolved_checks == (UnresolvedCheck("typo", 2, "no"),)
@@ -221,21 +231,24 @@ def test_unterminated_string_points_at_quote():
 
 
 def test_malformed_statement_shapes():
+    # A missing part is reported just past the last token; after a quoted
+    # name that is one past the closing quote.
     bad_lines = (
-        'goal g "G"',                 # missing connective
-        'goal g "G" of s',            # wrong connective
-        'subgoal sg "SG" of',         # no ids after connective
-        'subgoal sg "SG" of a,',      # trailing comma
-        'nfr n "N" on a,, b',         # doubled comma
-        'stakeholder s "S" extra',    # trailing junk
-        'stakeholder s',              # missing display name
-        'system "A" "B"',             # too many names
+        ('goal g "G"', 11),                # missing connective
+        ('goal g1 "Goal"', 15),            # missing connective
+        ('goal g "G" of s', 12),           # wrong connective
+        ('subgoal sg "SG" of', 19),        # no ids after connective
+        ('subgoal sg "SG" of a,', 22),     # trailing comma
+        ('nfr n "N" on a,, b', 16),        # doubled comma
+        ('stakeholder s "S" extra', 19),   # trailing junk
+        ('stakeholder s', 14),             # missing display name
+        ('system "A" "B"', 12),            # too many names
     )
-    for line in bad_lines:
+    for line, column in bad_lines:
         errors = errors_of('system "T"\n' + line + "\n")
         assert len(errors) == 1, line
         assert errors[0].kind == "malformed-line", line
-        assert errors[0].span.line == 2
+        assert errors[0].span == SourceSpan(2, column), line
 
 
 def test_checklist_index_bounds():
@@ -413,3 +426,144 @@ def test_parse_survives_mutated_fixture(library_text):
             blob[position] = random_state.randrange(256)
         result = parse(bytes(blob))
         assert isinstance(result, (Model, list))
+
+
+# --------------------------------------------------------- grammar fuzz
+#
+# Valid statements are derived from the grammar token by token and then
+# mutated token by token, in the style of Zeller et al., *The Fuzzing
+# Book*, chapters "Grammars" and "Grammar Fuzzing".  The token walker
+# ``_parse_line`` is the reference for the statement regexes.
+
+_FUZZ_IDS = ("a", "n", "g1", "sg_2", "x9")
+_FUZZ_NAMES = ("", "N", "a, b", "x # y", "tab\there", "٣ ²")
+_FUZZ_NOISE = ("²", "٣", '"', ",", "#", "\t", "\r", "\ufeff", " ", "",
+               "0", "08", "9", "00", "yes", "no", "maybe", "for", "of", "on",
+               "A", "check", "goal", "system", '"x"', '"a # b"', "#c", "é")
+
+
+def _grammar_statement(rng, keywords):
+    """A well-formed statement as a list of tokens."""
+    keyword = rng.choice(keywords)
+    ident = rng.choice(_FUZZ_IDS)
+    name = '"' + rng.choice(_FUZZ_NAMES) + '"'
+    if keyword == "system":
+        return [keyword, name]
+    if keyword == "stakeholder":
+        return [keyword, ident, name]
+    if keyword == "check":
+        return [keyword, ident, rng.choice(("1", "8", "08", "003")),
+                rng.choice(("yes", "no"))]
+    refs = [rng.choice(_FUZZ_IDS)]
+    for _ in range(rng.randrange(3)):
+        refs += [",", rng.choice(_FUZZ_IDS)]
+    return [keyword, ident, name, dsl._CONNECTIVE[keyword], *refs]
+
+
+def _mutate(rng, tokens):
+    """Replace, insert, drop or corrupt up to three tokens."""
+    tokens = list(tokens)
+    for _ in range(rng.randrange(4)):
+        position = rng.randrange(len(tokens) + 1)
+        noise = rng.choice(_FUZZ_NOISE)
+        operation = rng.randrange(4)
+        if operation == 0 or position == len(tokens):
+            tokens.insert(position, noise)
+        elif operation == 1:
+            tokens[position] = noise
+        elif operation == 2:
+            del tokens[position]
+        else:
+            token = tokens[position]
+            cut = rng.randrange(len(token) + 1)
+            tokens[position] = token[:cut] + noise + token[cut:]
+    return tokens
+
+
+def _fuzz_line(rng, mutation_rate=0.7, keywords=dsl._KEYWORDS):
+    tokens = _grammar_statement(rng, keywords)
+    mutated = rng.random() < mutation_rate
+    if mutated:
+        tokens = _mutate(rng, tokens)
+    # Words need a space or tab between them; other tokens may touch.  A
+    # mutated line may also run words together or end in a stray CR.
+    gaps = (" ", " ", "\t", "  \t", "") if mutated else (" ", "\t", "  \t")
+    line = rng.choice(("", "", " ", "\t "))
+    for token in tokens:
+        line += token + rng.choice(gaps)
+    return line + rng.choice(("", "", "# note", " #", "\r" if mutated else ""))
+
+
+def _located(result):
+    """A parse result with the source line of every element spelled out.
+
+    Model equality ignores ``line``; these tests must not.
+    """
+    if isinstance(result, list):
+        return result
+    layers = (result.stakeholders, result.goals, result.subgoals,
+              result.nfrs, result.unresolved_checks)
+    return result, [[item.line for item in layer] for layer in layers]
+
+
+@pytest.mark.parametrize("line, expected", [
+    ('goal g "Name"for a', ("goal", 1, "g", "Name", ("a",))),
+    ('check n 08 yes', ("check", 1, "n", "", (), 8, "yes")),
+    ('\tnfr n\t"N, #1"\ton a ,b,\tc # note', ("nfr", 1, "n", "N, #1",
+                                              ("a", "b", "c"))),
+    ('system"S"#', ("system", 1, "", "S")),
+    ('stakeholder s "S"\t', ("stakeholder", 1, "s", "S")),
+])
+def test_statement_regex_examples(line, expected):
+    expected = dsl._Statement(*expected)
+    assert dsl._parse_line(line, 1) == expected
+    assert dsl._match_statement(line, 1) == expected
+
+
+@pytest.mark.parametrize("line", [
+    'goal g "G" for a b', 'check n 0 yes', 'check n ² yes', 'check n 1 yes,',
+    'nfr n "N" on a,', 'stakeholder s "S"\r', 'system "S" x',
+    '\ufeffsystem "S"', 'subgoal sg "SG" of', 'goal g "G" fora',
+    'stakeholder sA "S"', '',
+])
+def test_statement_regex_rejects_what_the_token_walker_rejects(line):
+    assert not isinstance(dsl._parse_line(line, 1), dsl._Statement)
+    assert dsl._match_statement(line, 1) is None
+
+
+def test_statement_regexes_agree_with_token_walker():
+    rng = random.Random(303)
+    accepted = 0
+    for _ in range(6000):
+        line = _fuzz_line(rng)
+        reference = dsl._parse_line(line, 7)
+        fast = dsl._match_statement(line, 7)
+        if isinstance(reference, dsl._Statement):
+            assert fast == reference, repr(line)
+            accepted += 1
+        else:
+            assert fast is None, repr(line)
+        assert isinstance(parse('system "T"\n' + line), (Model, list))
+    # Both outcomes must be well represented, or the check proves little.
+    assert 1500 < accepted < 4500
+
+
+def test_fuzzed_files_parse_the_same_through_the_token_walker(monkeypatch):
+    rng = random.Random(304)
+    files = []
+    for _ in range(400):
+        # Mostly intact element lines, so that many files are models.
+        lines = [_fuzz_line(rng, 0.1, dsl._KEYWORDS[1:])
+                 for _ in range(rng.randrange(1, 12))]
+        position = rng.choice((0, 0, 0, rng.randrange(len(lines) + 1), None))
+        if position is not None:
+            lines.insert(position, 'system "T"')
+        newline = rng.choice(("\n", "\r\n"))
+        files.append(rng.choice(("", "\ufeff")) + newline.join(lines))
+    fast = [_located(parse(text)) for text in files]
+    models = sum(isinstance(result, tuple) for result in fast)
+    assert 100 < models < 300
+    monkeypatch.setattr(dsl, "_STATEMENT_RES", {})
+    assert dsl._match_statement('system "T"', 1) is None
+    for text, result in zip(files, fast):
+        assert _located(parse(text)) == result, repr(text)
