@@ -81,6 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
         return sub
 
+    def add_mode(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--mode", type=_parse_mode,
+                         default=ThresholdMode.mean(),
+                         help="critical threshold: mean, top_k=K or absolute=T")
+
     check = add_command("check", "parse and lint a model", _cmd_check)
     check.add_argument("--strict", action="store_true",
                        help="treat warnings as errors")
@@ -90,24 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     matrix = add_command("matrix", "print the NFR x goal traceability table",
                          _cmd_ranking)
-    matrix.add_argument("--mode", type=_parse_mode, default=ThresholdMode.mean(),
-                        help="critical threshold: mean, top_k=K or absolute=T")
+    add_mode(matrix)
     matrix.add_argument("--legend", action=argparse.BooleanOptionalAction,
                         default=True, help="append the goal legend")
 
-    critical = add_command("critical", "print NFR scores and the critical set",
-                           _cmd_ranking)
-    critical.add_argument("--mode", type=_parse_mode,
-                          default=ThresholdMode.mean(),
-                          help="critical threshold: mean, top_k=K or absolute=T")
+    add_mode(add_command("critical", "print NFR scores and the critical set",
+                         _cmd_ranking))
 
     report = add_command("report", "print the full analysis report",
                          _cmd_report)
     report.add_argument("--format", choices=("text", "markdown", "json"),
                         default="text")
-    report.add_argument("--mode", type=_parse_mode,
-                        default=ThresholdMode.mean(),
-                        help="critical threshold: mean, top_k=K or absolute=T")
+    add_mode(report)
     return parser
 
 
@@ -138,8 +137,8 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str) -> None:
 
 
 def _load_gated(path: str,
-                failure_code: int) -> tuple[Model, list[Diagnostic]] | int:
-    """Read, parse and lint the input, or return the exit code to use.
+                failure_code: int) -> tuple[Model, list[Diagnostic]]:
+    """Read, parse and lint the input, or exit with ``failure_code``.
 
     Diagnostics go to stderr; error-severity ones refuse the model.
     """
@@ -148,53 +147,35 @@ def _load_gated(path: str,
     except OSError as exc:
         print(f"error: cannot read {_display_path(path)}: {exc}",
               file=sys.stderr)
-        return failure_code
+        sys.exit(failure_code)
     model = parse(raw, source_path=None if path == "-" else path)
     if isinstance(model, list):
         _print_parse_errors(model, path)
-        return failure_code
+        sys.exit(failure_code)
     diagnostics = validate_structure(model)
     _print_diagnostics(diagnostics, path)
     if any(d.severity == "error" for d in diagnostics):
-        return failure_code
+        sys.exit(failure_code)
     return model, diagnostics
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    loaded = _load_gated(args.input, EXIT_CHECK_FAILED)
-    if isinstance(loaded, int):
-        return loaded
-    _, diagnostics = loaded
+    _, diagnostics = _load_gated(args.input, EXIT_CHECK_FAILED)
     return EXIT_CHECK_FAILED if diagnostics and args.strict else EXIT_OK
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    loaded = _load_gated(args.input, EXIT_INVALID_MODEL)
-    if isinstance(loaded, int):
-        return loaded
-    model, _ = loaded
-    try:
-        completeness = compute_mcr(model)
-    except EmptyModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    print(mcr_line(completeness))
+    model, _ = _load_gated(args.input, EXIT_INVALID_MODEL)
+    print(mcr_line(compute_mcr(model)))
     print(validation_line(score_checklist(model)))
     return EXIT_OK
 
 
 def _cmd_ranking(args: argparse.Namespace) -> int:
     """``matrix`` prints the ranked table, ``critical`` the scores."""
-    loaded = _load_gated(args.input, EXIT_INVALID_MODEL)
-    if isinstance(loaded, int):
-        return loaded
-    model, diagnostics = loaded
-    try:
-        matrix = build_traceability_matrix(model, diagnostics=diagnostics)
-        criticality = rank_criticality(matrix, args.mode)
-    except EmptyMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    model, diagnostics = _load_gated(args.input, EXIT_INVALID_MODEL)
+    matrix = build_traceability_matrix(model, diagnostics=diagnostics)
+    criticality = rank_criticality(matrix, args.mode)
     if args.command == "matrix":
         print(render_matrix_table(matrix, criticality, legend=args.legend),
               end="")
@@ -208,15 +189,8 @@ def _cmd_ranking(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    loaded = _load_gated(args.input, EXIT_INVALID_MODEL)
-    if isinstance(loaded, int):
-        return loaded
-    model, diagnostics = loaded
-    try:
-        bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
-    except EmptyModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    model, diagnostics = _load_gated(args.input, EXIT_INVALID_MODEL)
+    bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
     if args.format == "json":
         print(export_json(bundle))
     else:
@@ -229,6 +203,9 @@ def main(argv: list[str] | None = None) -> None:
     try:
         code = args.handler(args)
         sys.stdout.flush()
+    except (EmptyModelError, EmptyMatrixError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_PRECONDITION
     except BrokenPipeError:
         # The reader is gone.  Point fd 1 at devnull so that the flush at
         # interpreter exit does not fail again and print a traceback.

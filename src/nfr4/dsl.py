@@ -404,9 +404,9 @@ def serialize(model: Model) -> str:
     if '"' in model.system_name or "\n" in model.system_name:
         raise SerializeError("system display name contains a quote or newline")
 
-    stakeholder_ids = model.stakeholder_ids()
-    goal_ids = model.goal_ids()
-    subgoal_ids = model.subgoal_ids()
+    stakeholder_ids = {s.id for s in model.stakeholders}
+    goal_ids = {g.id for g in model.goals}
+    subgoal_ids = {s.id for s in model.subgoals}
     for shared in sorted(goal_ids & subgoal_ids):
         raise SerializeError(f"id '{shared}' names both a goal and a sub-goal")
 

@@ -19,8 +19,7 @@ ANSWERS = (YES, NO, UNANSWERED)
 
 CHECKLIST_SIZE = 8
 
-# Rule ids in report order.  Severity is looked up here and nowhere else.
-RULE_ORDER = ("R1", "R2", "R3", "R4", "REF", "DUP")
+# Severity is looked up here and nowhere else.
 SEVERITY_BY_RULE = {
     "R1": "error",
     "R2": "error",
@@ -94,14 +93,6 @@ class ChecklistRecord:
             if answer not in ANSWERS:
                 raise ValueError(f"bad checklist answer: {answer!r}")
 
-    def with_answer(self, index: int, answer: str) -> ChecklistRecord:
-        """Return a copy with question ``index`` (1-based) set to ``answer``."""
-        if not 1 <= index <= CHECKLIST_SIZE:
-            raise ValueError(f"checklist index out of range: {index}")
-        answers = list(self.answers)
-        answers[index - 1] = answer
-        return ChecklistRecord(tuple(answers))
-
     @property
     def yes_count(self) -> int:
         return self.answers.count(YES)
@@ -165,18 +156,6 @@ class Model:
         for name in ("stakeholders", "goals", "subgoals", "nfrs", "unresolved_checks"):
             object.__setattr__(self, name, _as_tuple(getattr(self, name)))
 
-    def stakeholder_ids(self) -> set[str]:
-        return {s.id for s in self.stakeholders}
-
-    def goal_ids(self) -> set[str]:
-        return {g.id for g in self.goals}
-
-    def subgoal_ids(self) -> set[str]:
-        return {s.id for s in self.subgoals}
-
-    def nfr_ids(self) -> set[str]:
-        return {n.id for n in self.nfrs}
-
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
@@ -189,14 +168,10 @@ class Diagnostic:
     source_line: int | None = None
 
 
-def _diag(rule: str, message: str, subject: str, line: int | None) -> Diagnostic:
-    return Diagnostic(rule, SEVERITY_BY_RULE[rule], message, subject, line)
-
-
 def validate_structure(model: Model) -> list[Diagnostic]:
     """Check every structural rule and return all findings.
 
-    Rules:
+    Rules, in the order each element reports them:
       R1   the model declares at least one stakeholder
       R2   every stakeholder owns a goal; every goal has an owner
       R3   every goal has a sub-goal; every sub-goal has a parent
@@ -208,117 +183,110 @@ def validate_structure(model: Model) -> list[Diagnostic]:
 
     References may be dangling; this reports them rather than assuming
     resolution.  The empty list means the model is well-formed under
-    every rule.  Findings are ordered by the subject's declaration
-    position (layer by layer), then rule id.
+    every rule.  Findings come out in one pass over the layers: R1,
+    then each element in declaration order (stakeholders, goals,
+    sub-goals, NFRs) with its findings in the rule order above, then
+    the checklist answers whose NFR id is unknown.
     """
-    found: list[tuple[tuple, Diagnostic]] = []
-
-    def add(rank: int, index: int, rule: str, message: str, subject: str,
-            line: int | None) -> None:
-        key = (rank, index, RULE_ORDER.index(rule), len(found))
-        found.append((key, _diag(rule, message, subject, line)))
-
-    stakeholder_ids = model.stakeholder_ids()
-    goal_ids = model.goal_ids()
-    subgoal_ids = model.subgoal_ids()
-    nfr_ids = model.nfr_ids()
-
-    if not model.stakeholders:
-        add(-1, 0, "R1", "model declares no stakeholders", "", None)
-
+    stakeholder_ids = {s.id for s in model.stakeholders}
+    goal_ids = {g.id for g in model.goals}
+    subgoal_ids = {s.id for s in model.subgoals}
+    nfr_ids = {n.id for n in model.nfrs}
     owned = {owner for g in model.goals for owner in g.owners}
     parented = {parent for s in model.subgoals for parent in s.parents}
     goals_with_nfr = {gid for n in model.nfrs for gid in n.attached_goals}
     subgoals_with_nfr = {sid for n in model.nfrs for sid in n.attached_subgoals}
 
+    found: list[Diagnostic] = []
     seen: set[str] = set()
-    layers = (model.stakeholders, model.goals, model.subgoals, model.nfrs)
-    for rank, elements in enumerate(layers):
-        for index, element in enumerate(elements):
-            if element.id in seen:
-                add(rank, index, "DUP",
-                    f"duplicate identifier '{element.id}'", element.id,
-                    element.line)
-            seen.add(element.id)
 
-    for index, stakeholder in enumerate(model.stakeholders):
+    def add(rule: str, message: str, subject: str, line: int | None) -> None:
+        found.append(
+            Diagnostic(rule, SEVERITY_BY_RULE[rule], message, subject, line))
+
+    def add_dup(element) -> None:
+        if element.id in seen:
+            add("DUP", f"duplicate identifier '{element.id}'", element.id,
+                element.line)
+        seen.add(element.id)
+
+    if not model.stakeholders:
+        add("R1", "model declares no stakeholders", "", None)
+
+    for stakeholder in model.stakeholders:
         if stakeholder.id not in owned:
-            add(0, index, "R2",
-                f"stakeholder '{stakeholder.id}' owns no goals",
+            add("R2", f"stakeholder '{stakeholder.id}' owns no goals",
                 stakeholder.id, stakeholder.line)
+        add_dup(stakeholder)
 
-    for index, goal in enumerate(model.goals):
+    for goal in model.goals:
         if not goal.owners:
-            add(1, index, "R2", f"goal '{goal.id}' has no owners",
-                goal.id, goal.line)
+            add("R2", f"goal '{goal.id}' has no owners", goal.id, goal.line)
         if goal.id not in parented:
-            add(1, index, "R3", f"goal '{goal.id}' has no sub-goals",
-                goal.id, goal.line)
+            add("R3", f"goal '{goal.id}' has no sub-goals", goal.id, goal.line)
         for owner in goal.owners:
             if owner not in stakeholder_ids:
-                add(1, index, "REF",
+                add("REF",
                     f"goal '{goal.id}' references unknown stakeholder '{owner}'",
                     goal.id, goal.line)
+        add_dup(goal)
 
-    for index, subgoal in enumerate(model.subgoals):
+    for subgoal in model.subgoals:
         if not subgoal.parents:
-            add(2, index, "R3", f"sub-goal '{subgoal.id}' has no parent goals",
+            add("R3", f"sub-goal '{subgoal.id}' has no parent goals",
                 subgoal.id, subgoal.line)
         covered = subgoal.id in subgoals_with_nfr or any(
             parent in goals_with_nfr for parent in subgoal.parents
         )
         if not covered:
-            add(2, index, "R4",
-                f"sub-goal '{subgoal.id}' is not covered by any NFR",
+            add("R4", f"sub-goal '{subgoal.id}' is not covered by any NFR",
                 subgoal.id, subgoal.line)
         for parent in subgoal.parents:
             if parent not in goal_ids:
-                add(2, index, "REF",
+                add("REF",
                     f"sub-goal '{subgoal.id}' references unknown goal '{parent}'",
                     subgoal.id, subgoal.line)
+        add_dup(subgoal)
 
-    for index, nfr in enumerate(model.nfrs):
+    for nfr in model.nfrs:
         if not nfr.attached_subgoals and not nfr.attached_goals:
-            add(3, index, "R4",
-                f"NFR '{nfr.id}' is not attached to any goal or sub-goal",
+            add("R4", f"NFR '{nfr.id}' is not attached to any goal or sub-goal",
                 nfr.id, nfr.line)
         for target in nfr.attached_goals:
             if target not in goal_ids:
-                add(3, index, "REF",
-                    f"NFR '{nfr.id}' references unknown goal '{target}'",
+                add("REF", f"NFR '{nfr.id}' references unknown goal '{target}'",
                     nfr.id, nfr.line)
         for target in nfr.attached_subgoals:
             if target not in subgoal_ids:
-                add(3, index, "REF",
+                add("REF",
                     f"NFR '{nfr.id}' references unknown sub-goal '{target}'",
                     nfr.id, nfr.line)
+        add_dup(nfr)
 
-    for index, check in enumerate(model.unresolved_checks):
+    for check in model.unresolved_checks:
         if check.nfr_id not in nfr_ids:
-            add(4, index, "REF",
-                f"checklist answer references unknown NFR '{check.nfr_id}'",
+            add("REF", f"checklist answer references unknown NFR '{check.nfr_id}'",
                 check.nfr_id, check.line)
 
-    found.sort(key=lambda pair: pair[0])
-    return [diag for _, diag in found]
+    return found
 
 
 def goals_of_stakeholder(model: Model, stakeholder_id: str) -> list[Goal]:
     """Goals owned by the stakeholder, in declaration order."""
-    if stakeholder_id not in model.stakeholder_ids():
+    if stakeholder_id not in {s.id for s in model.stakeholders}:
         raise UnknownIdError(f"unknown stakeholder id: {stakeholder_id!r}")
     return [g for g in model.goals if stakeholder_id in g.owners]
 
 
 def subgoals_of_goal(model: Model, goal_id: str) -> list[SubGoal]:
     """Sub-goals that list the goal as a parent, in declaration order."""
-    if goal_id not in model.goal_ids():
+    if goal_id not in {g.id for g in model.goals}:
         raise UnknownIdError(f"unknown goal id: {goal_id!r}")
     return [s for s in model.subgoals if goal_id in s.parents]
 
 
 def nfrs_of_subgoal(model: Model, subgoal_id: str) -> list[Nfr]:
     """NFRs attached directly to the sub-goal, in declaration order."""
-    if subgoal_id not in model.subgoal_ids():
+    if subgoal_id not in {s.id for s in model.subgoals}:
         raise UnknownIdError(f"unknown sub-goal id: {subgoal_id!r}")
     return [n for n in model.nfrs if subgoal_id in n.attached_subgoals]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
 
 from .analysis import (
@@ -26,13 +25,13 @@ from .analysis import (
 )
 from .model import CHECKLIST_SIZE, Diagnostic, Model, validate_structure
 
-_QUANTUM = Decimal("0.0001")
-
 
 def format_ratio(value: Fraction) -> str:
-    """Fixed four-decimal rendering of an exact ratio."""
-    quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(quotient.quantize(_QUANTUM, rounding=ROUND_HALF_UP))
+    """Fixed four-decimal rendering of an exact ratio, halves away from 0."""
+    numerator, denominator = value.numerator, value.denominator
+    scaled = (20000 * abs(numerator) + denominator) // (2 * denominator)
+    sign = "-" if numerator < 0 else ""
+    return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
 
 
 def mcr_line(completeness: CompletenessResult) -> str:

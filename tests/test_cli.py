@@ -162,11 +162,19 @@ def test_metrics_unreadable_file(tmp_path):
     assert run_cli(["metrics", str(tmp_path / "gone.nfr4")])[0] == 2
 
 
+def no_nfr_run(model_file, command):
+    """Run ``command`` on NO_NFR_TEXT; check that stderr opens with the R4
+    warning and return (code, stdout, the rest of stderr)."""
+    path = model_file(NO_NFR_TEXT)
+    code, out, err = run_cli([command, path])
+    warning = f"{path}:4: warning R4: sub-goal 'sg' is not covered by any NFR\n"
+    assert err.startswith(warning)
+    return code, out, err[len(warning):]
+
+
 def test_metrics_needs_nfrs(model_file):
-    code, out, err = run_cli(["metrics", model_file(NO_NFR_TEXT)])
-    assert code == 3
-    assert out == ""
-    assert "error:" in err
+    assert no_nfr_run(model_file, "metrics") == (
+        3, "", "error: model has no NFRs; MCR is undefined\n")
 
 
 def test_metrics_passes_warnings(model_file):
@@ -203,7 +211,8 @@ def test_matrix_mode_changes_stars(atm_model):
 
 
 def test_matrix_without_nfrs_is_precondition_error(model_file):
-    assert run_cli(["matrix", model_file(NO_NFR_TEXT)])[0] == 3
+    assert no_nfr_run(model_file, "matrix") == (
+        3, "", "error: traceability matrix has no rows or no columns\n")
 
 
 # --------------------------------------------------------------- critical
@@ -240,6 +249,15 @@ def test_critical_absolute_mode():
         "critical: usability, performance, reliability, safety\n")
 
 
+def test_critical_absolute_mode_prints_huge_thresholds():
+    code, out, err = run_cli(["critical", "--mode", "absolute=1e30", ATM])
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "threshold (absolute(1000000000000000000000000000000)):"
+        " 1000000000000000000000000000000.0000\n"
+        "critical:\n")
+
+
 def test_critical_empty_set_renders_bare_label(model_file):
     code, out, _ = run_cli(["critical", model_file(FLAT_TEXT)])
     assert code == 0
@@ -247,7 +265,8 @@ def test_critical_empty_set_renders_bare_label(model_file):
 
 
 def test_critical_without_nfrs_is_precondition_error(model_file):
-    assert run_cli(["critical", model_file(NO_NFR_TEXT)])[0] == 3
+    assert no_nfr_run(model_file, "critical") == (
+        3, "", "error: traceability matrix has no rows or no columns\n")
 
 
 # ----------------------------------------------------------------- report
@@ -280,7 +299,8 @@ def test_report_json_respects_mode(atm_model):
 
 
 def test_report_without_nfrs_is_precondition_error(model_file):
-    assert run_cli(["report", model_file(NO_NFR_TEXT)])[0] == 3
+    assert no_nfr_run(model_file, "report") == (
+        3, "", "error: model has no NFRs; MCR is undefined\n")
 
 
 def test_report_rejects_error_models(model_file):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from nfr4.dsl import parse
 from nfr4.model import (
     ChecklistRecord,
     Goal,
@@ -201,6 +202,29 @@ def test_rule_order_breaks_ties_on_one_subject():
         == [("R2", "h"), ("R3", "h")]
 
 
+def test_dup_is_each_elements_last_finding():
+    model = parse(
+        'system "D"\n'
+        'stakeholder s "S"\n'
+        'stakeholder s "S2"\n'
+        'goal s "G" for s, x\n'
+        'goal h "H" for s\n'
+        'subgoal h "SG" of g, q\n'
+        'subgoal k "K" of s\n'
+        'nfr h "N" on nope\n'
+        'nfr k "K" on k\n'
+        'check zz 1 yes\n')
+    assert [(d.rule_id, d.subject_id, d.source_line)
+            for d in validate_structure(model)] == [
+        ("DUP", "s", 3), ("REF", "s", 4), ("DUP", "s", 4),
+        ("R3", "h", 5),
+        ("R4", "h", 6), ("REF", "h", 6), ("REF", "h", 6), ("DUP", "h", 6),
+        ("REF", "h", 8), ("DUP", "h", 8),
+        ("DUP", "k", 9),
+        ("REF", "zz", 10),
+    ]
+
+
 def test_r1_sorts_before_everything():
     model = Model("S", goals=(Goal("g", "G"),))
     rules = [d.rule_id for d in validate_structure(model)]
@@ -334,20 +358,8 @@ def test_checklist_defaults_unanswered():
     record = ChecklistRecord()
     assert record.yes_count == 0
     assert record.answered_count == 0
-
-
-def test_checklist_with_answer_is_one_based():
-    record = ChecklistRecord().with_answer(1, "yes").with_answer(8, "no")
-    assert record.answers[0] == "yes"
-    assert record.answers[7] == "no"
-    assert record.yes_count == 1
-    assert record.answered_count == 2
-
-
-def test_checklist_with_answer_rejects_out_of_range():
-    for index in (0, 9, -1):
-        with pytest.raises(ValueError):
-            ChecklistRecord().with_answer(index, "yes")
+    mixed = ChecklistRecord(("yes",) + ("unanswered",) * 6 + ("no",))
+    assert (mixed.yes_count, mixed.answered_count) == (1, 2)
 
 
 def test_checklist_rejects_bad_shapes():

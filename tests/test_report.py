@@ -66,6 +66,8 @@ def table_marks(table, n_rows):
     (Fraction(17, 5), "3.4000"),
     (Fraction(1, 8), "0.1250"),
     (Fraction(7), "7.0000"),
+    (Fraction(10**30), "1000000000000000000000000000000.0000"),
+    (Fraction(-1, 20000), "-0.0001"),
 ])
 def test_format_ratio(value, text):
     assert format_ratio(value) == text
