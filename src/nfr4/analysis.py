@@ -121,17 +121,20 @@ def score_checklist(model: Model, nfr_id: str | None = None) -> ChecklistScore:
 class TraceabilityMatrix:
     """NFR x goal incidence, rows and columns in declaration order.
 
-    Display names ride along for rendering.
+    Rows are stored sparse, one per NFR (compressed sparse rows):
+    ``rows[i]`` holds the sorted, distinct indices into ``goal_ids`` of
+    the goals NFR i marks, so storage and scoring grow with attachments,
+    not with NFRs x goals.  Display names ride along for rendering.
     """
 
     nfr_ids: tuple[str, ...]
     nfr_names: tuple[str, ...]
     goal_ids: tuple[str, ...]
     goal_names: tuple[str, ...]
-    marks: tuple[tuple[bool, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def row_sum(self, row: int) -> int:
-        return sum(self.marks[row])
+        return len(self.rows[row])
 
 
 def build_traceability_matrix(model: Model, *,
@@ -141,7 +144,8 @@ def build_traceability_matrix(model: Model, *,
 
     A cell is marked when the NFR attaches to the goal directly or to
     any sub-goal that lists the goal as a parent (sub-goal attachments
-    lift to every parent).  Refuses models with error-severity
+    lift to every parent); a row lists each marked goal once, however
+    many attachments reach it.  Refuses models with error-severity
     diagnostics; warnings (say, an NFR attached to nothing) pass
     through and simply yield empty rows.  ``diagnostics`` is what
     ``validate_structure(model)`` returned; the model is validated here
@@ -154,16 +158,14 @@ def build_traceability_matrix(model: Model, *,
         raise InvalidModelError(errors)
 
     goal_index = {goal.id: j for j, goal in enumerate(model.goals)}
-    subgoal_by_id = {subgoal.id: subgoal for subgoal in model.subgoals}
-    rows: list[tuple[bool, ...]] = []
+    lifted = {subgoal.id: [goal_index[parent] for parent in subgoal.parents]
+              for subgoal in model.subgoals}
+    rows: list[tuple[int, ...]] = []
     for nfr in model.nfrs:
-        row = [False] * len(model.goals)
-        for goal_id in nfr.attached_goals:
-            row[goal_index[goal_id]] = True
+        marked = {goal_index[goal_id] for goal_id in nfr.attached_goals}
         for subgoal_id in nfr.attached_subgoals:
-            for parent in subgoal_by_id[subgoal_id].parents:
-                row[goal_index[parent]] = True
-        rows.append(tuple(row))
+            marked.update(lifted[subgoal_id])
+        rows.append(tuple(sorted(marked)))
     return TraceabilityMatrix(
         tuple(n.id for n in model.nfrs),
         tuple(n.name for n in model.nfrs),
@@ -233,7 +235,7 @@ def rank_criticality(matrix: TraceabilityMatrix,
     if not matrix.nfr_ids or not matrix.goal_ids:
         raise EmptyMatrixError("traceability matrix has no rows or no columns")
 
-    scores = tuple(matrix.row_sum(i) for i in range(len(matrix.nfr_ids)))
+    scores = tuple(map(len, matrix.rows))
     ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
     if mode.kind == "mean":

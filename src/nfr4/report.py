@@ -100,13 +100,15 @@ def render_matrix_table(matrix: TraceabilityMatrix,
 
     lines = [row(["NFR".ljust(name_width), *goal_headers,
                   "score".ljust(score_width), "critical"])]
-    for i, name in enumerate(matrix.nfr_names):
-        cells = [name.ljust(name_width)]
-        for j, header in enumerate(goal_headers):
-            cells.append(("X" if matrix.marks[i][j] else "").ljust(len(header)))
-        cells.append(str(criticality.scores[i]).ljust(score_width))
-        cells.append("*" if matrix.nfr_ids[i] in critical_set else "")
-        lines.append(row(cells))
+    blanks = [" " * len(header) for header in goal_headers]
+    crosses = ["X".ljust(len(header)) for header in goal_headers]
+    for i, (name, marked) in enumerate(zip(matrix.nfr_names, matrix.rows)):
+        cells = blanks.copy()
+        for j in marked:
+            cells[j] = crosses[j]
+        lines.append(row([name.ljust(name_width), *cells,
+                          str(criticality.scores[i]).ljust(score_width),
+                          "*" if matrix.nfr_ids[i] in critical_set else ""]))
 
     if legend:
         lines.append("")
@@ -173,6 +175,34 @@ def render_summary(bundle: ReportBundle, format: str = "text") -> str:
     return "\n".join(parts)
 
 
+# How ``json.dumps(indent=2)`` ends a document whose last member is a
+# "matrix" object whose last member is an empty "marks" list.
+_EMPTY_MARKS_END = "[]\n  }\n}"
+
+
+def _json_marks(matrix: TraceabilityMatrix) -> list[str]:
+    """Pieces of the dense "marks" array, laid out as ``json.dumps``
+    with ``indent=2`` lays it out inside "matrix".
+
+    Each row is a copy of one all-``false`` template with its marked
+    goal indices set to ``true``, joined in one call.
+    """
+    if not matrix.rows:
+        return ["[]"]
+    falses = ["false"] * len(matrix.goal_ids)
+    pieces = []
+    for marked in matrix.rows:
+        cells = falses.copy()
+        for j in marked:
+            cells[j] = "true"
+        pieces.append(",\n      ")
+        pieces.append("[\n        " + ",\n        ".join(cells) + "\n      ]"
+                      if cells else "[]")
+    pieces[0] = "[\n      "  # the first separator opens the array
+    pieces.append("\n    ]")
+    return pieces
+
+
 def export_json(bundle: ReportBundle) -> str:
     """Machine-readable report; key order is part of the contract."""
     model = bundle.model
@@ -216,13 +246,22 @@ def export_json(bundle: ReportBundle) -> str:
         "matrix": {
             "nfr_ids": list(bundle.matrix.nfr_ids),
             "goal_ids": list(bundle.matrix.goal_ids),
-            "marks": [list(row) for row in bundle.matrix.marks],
+            "marks": [],
         },
+    }
+    head = json.dumps(data, indent=2, ensure_ascii=False)
+    tail = json.dumps({
         "criticality": {
             "scores": dict(zip(report.nfr_ids, report.scores)),
             "threshold_mode": str(report.threshold_mode),
             "threshold_value": format_ratio(report.threshold_value),
             "critical": list(report.critical),
         },
-    }
-    return json.dumps(data, indent=2, ensure_ascii=False)
+    }, indent=2, ensure_ascii=False)
+    # By key order ``head`` ends with the empty "marks" list and the
+    # braces closing "matrix" and the document.  Cut them off by length,
+    # never by searching text that holds user strings, and put the dense
+    # marks and the "criticality" member of ``tail`` in their place.
+    return "".join([head[:-len(_EMPTY_MARKS_END)], *_json_marks(bundle.matrix),
+                    "\n  },\n", tail[len("{\n"):]])
+

@@ -127,6 +127,16 @@ def brute_force_marks(model: Model) -> tuple[tuple[bool, ...], ...]:
     return tuple(marks)
 
 
+def marks_to_rows(marks) -> tuple[tuple[int, ...], ...]:
+    """Dense boolean rows to sparse rows of marked column indices."""
+    return tuple(tuple(j for j, hit in enumerate(row) if hit) for row in marks)
+
+
+def rows_to_marks(rows, width: int) -> tuple[tuple[bool, ...], ...]:
+    """Sparse rows of marked column indices to dense boolean rows."""
+    return tuple(tuple(j in row for j in range(width)) for row in rows)
+
+
 def run_cli(argv, stdin_bytes: bytes | None = None) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

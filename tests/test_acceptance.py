@@ -31,7 +31,7 @@ from nfr4.model import (
 from nfr4.fixtures import LIBRARY_PATH, ATM_PATH
 from nfr4.report import format_ratio
 
-from support import brute_force_marks, random_model, run_cli
+from support import brute_force_marks, marks_to_rows, random_model, run_cli
 
 LIBRARY = str(LIBRARY_PATH)
 ATM = str(ATM_PATH)
@@ -65,9 +65,8 @@ def criterion(number, description):
 
 def marked_goals(matrix):
     return {
-        nfr_id: {matrix.goal_ids[j] for j, hit in enumerate(matrix.marks[i])
-                 if hit}
-        for i, nfr_id in enumerate(matrix.nfr_ids)
+        nfr_id: {matrix.goal_ids[j] for j in row}
+        for nfr_id, row in zip(matrix.nfr_ids, matrix.rows)
     }
 
 
@@ -169,8 +168,8 @@ def test_c6_matrix_oracle_equivalence():
         mismatches = 0
         for _ in range(1000):
             model = random_model(rng)
-            if build_traceability_matrix(model).marks \
-                    != brute_force_marks(model):
+            if build_traceability_matrix(model).rows \
+                    != marks_to_rows(brute_force_marks(model)):
                 mismatches += 1
         assert mismatches == 0
 

@@ -32,7 +32,7 @@ from nfr4.model import (
     UnknownIdError,
 )
 
-from support import brute_force_marks, random_model
+from support import brute_force_marks, marks_to_rows, random_model
 
 ALL_YES = ("yes",) * CHECKLIST_SIZE
 
@@ -213,9 +213,8 @@ ATM_MARKED = {
 
 def marked_goals(matrix):
     return {
-        nfr_id: {matrix.goal_ids[j] for j, hit in enumerate(matrix.marks[i])
-                 if hit}
-        for i, nfr_id in enumerate(matrix.nfr_ids)
+        nfr_id: {matrix.goal_ids[j] for j in row}
+        for nfr_id, row in zip(matrix.nfr_ids, matrix.rows)
     }
 
 
@@ -243,10 +242,24 @@ def test_subgoal_attachment_lifts_to_all_parents():
         (Nfr("n", "N", ("shared",)), Nfr("m", "M", ("leaf",), ("g3",))),
     )
     matrix = build_traceability_matrix(model)
-    assert matrix.marks == (
-        (True, False, True),
-        (False, True, True),
+    assert matrix.rows == (
+        (0, 2),
+        (1, 2),
     )
+
+
+def test_goal_reached_twice_is_marked_once():
+    model = Model(
+        "S",
+        (Stakeholder("s", "S"),),
+        (Goal("g1", "G1", ("s",)), Goal("g2", "G2", ("s",))),
+        (SubGoal("sg", "SG", ("g2",)), SubGoal("other", "Other", ("g1",))),
+        (Nfr("n", "N", ("sg",), ("g2",)),),
+    )
+    matrix = build_traceability_matrix(model)
+    assert matrix.rows == ((1,),)
+    assert matrix.row_sum(0) == 1
+    assert rank_criticality(matrix).scores == (1,)
 
 
 def test_unattached_nfr_yields_all_false_row():
@@ -258,7 +271,7 @@ def test_unattached_nfr_yields_all_false_row():
         (Nfr("n", "N", (), ("g",)), Nfr("loose", "Loose")),
     )
     matrix = build_traceability_matrix(model)
-    assert matrix.marks[1] == (False,)
+    assert matrix.rows[1] == ()
     assert matrix.row_sum(1) == 0
 
 
@@ -281,8 +294,8 @@ def test_matrix_agrees_with_scan_oracle():
     random_state = random.Random(5)
     for _ in range(200):
         model = random_model(random_state)
-        assert build_traceability_matrix(model).marks \
-            == brute_force_marks(model)
+        assert build_traceability_matrix(model).rows \
+            == marks_to_rows(brute_force_marks(model))
 
 
 # ------------------------------------------------------------- thresholds
@@ -296,7 +309,7 @@ def matrix_from_scores(rows):
         tuple(f"N{i}" for i in range(len(rows))),
         tuple(f"g{j}" for j in range(width)),
         tuple(f"G{j}" for j in range(width)),
-        tuple(tuple(j < row for j in range(width)) for row in rows),
+        tuple(tuple(range(row)) for row in rows),
     )
 
 
@@ -392,7 +405,7 @@ def test_row_permutation_permutes_scores_keeps_critical_set():
             tuple(matrix.nfr_ids[i] for i in order),
             tuple(matrix.nfr_names[i] for i in order),
             matrix.goal_ids, matrix.goal_names,
-            tuple(matrix.marks[i] for i in order),
+            tuple(matrix.rows[i] for i in order),
         )
         base = rank_criticality(matrix)
         permuted = rank_criticality(shuffled)
@@ -407,7 +420,8 @@ def test_column_permutation_changes_nothing(library_model):
         matrix.nfr_ids, matrix.nfr_names,
         tuple(matrix.goal_ids[j] for j in order),
         tuple(matrix.goal_names[j] for j in order),
-        tuple(tuple(row[j] for j in order) for row in matrix.marks),
+        tuple(tuple(sorted(order.index(j) for j in row))
+              for row in matrix.rows),
     )
     assert rank_criticality(flipped).scores == rank_criticality(matrix).scores
     assert rank_criticality(flipped).critical \
@@ -420,7 +434,8 @@ def test_column_doubling_doubles_scores_keeps_critical(library_model):
         matrix.nfr_ids, matrix.nfr_names,
         matrix.goal_ids + tuple(f"{g}_copy" for g in matrix.goal_ids),
         matrix.goal_names + matrix.goal_names,
-        tuple(row + row for row in matrix.marks),
+        tuple(row + tuple(j + len(matrix.goal_ids) for j in row)
+              for row in matrix.rows),
     )
     base = rank_criticality(matrix)
     scaled = rank_criticality(doubled)

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from nfr4.analysis import (
     rank_criticality,
     score_checklist,
 )
+from nfr4.fixtures import load_atm, load_library
 from nfr4.model import (
     Goal,
     Model,
@@ -35,7 +37,7 @@ from nfr4.report import (
     validation_line,
 )
 
-from support import random_model
+from support import marks_to_rows, random_model, rows_to_marks
 
 
 def table_marks(table, n_rows):
@@ -51,6 +53,119 @@ def table_marks(table, n_rows):
         marks.append(tuple(
             offset < len(line) and line[offset] == "X" for offset in offsets))
     return tuple(marks)
+
+
+def reference_table(matrix, criticality, legend=True):
+    """The table rendered cell by cell from dense marks: the oracle that
+    ``render_matrix_table`` must match byte for byte."""
+    marks = rows_to_marks(matrix.rows, len(matrix.goal_ids))
+    goal_headers = [f"G{j + 1}" for j in range(len(matrix.goal_ids))]
+    name_width = max(len("NFR"), max(len(name) for name in matrix.nfr_names))
+    score_width = max(len("score"), max(len(str(s)) for s in criticality.scores))
+    critical_set = set(criticality.critical)
+
+    def row(cells):
+        return "  ".join(cells).rstrip()
+
+    lines = [row(["NFR".ljust(name_width), *goal_headers,
+                  "score".ljust(score_width), "critical"])]
+    for i, name in enumerate(matrix.nfr_names):
+        cells = [name.ljust(name_width)]
+        for j, header in enumerate(goal_headers):
+            cells.append(("X" if marks[i][j] else "").ljust(len(header)))
+        cells.append(str(criticality.scores[i]).ljust(score_width))
+        cells.append("*" if matrix.nfr_ids[i] in critical_set else "")
+        lines.append(row(cells))
+    if legend:
+        lines.append("")
+        for j, name in enumerate(matrix.goal_names):
+            lines.append(f"G{j + 1} = {name}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(bundle):
+    """The whole report as one dict through ``json.dumps``, dense marks
+    included: the oracle that ``export_json`` must match byte for byte."""
+    model = bundle.model
+
+    def score_obj(score):
+        return {"yes": score.yes_count, "answered": score.answered_count,
+                "metric": format_ratio(score.metric)}
+
+    report = bundle.criticality
+    data = {
+        "system": model.system_name,
+        "layers": {
+            label: {"count": len(elements), "ids": [e.id for e in elements]}
+            for label, elements in (("stakeholders", model.stakeholders),
+                                    ("goals", model.goals),
+                                    ("subgoals", model.subgoals),
+                                    ("nfrs", model.nfrs))
+        },
+        "diagnostics": [
+            {"rule": d.rule_id, "severity": d.severity, "message": d.message,
+             "subject": d.subject_id, "line": d.source_line}
+            for d in bundle.diagnostics
+        ],
+        "mcr": {
+            "n_c": bundle.completeness.n_c,
+            "n_nv": bundle.completeness.n_nv,
+            "value": format_ratio(bundle.completeness.mcr),
+        },
+        "checklist": {
+            "whole_model": score_obj(bundle.whole_model_score),
+            "per_nfr": {s.subject: score_obj(s) for s in bundle.per_nfr_scores},
+        },
+        "matrix": {
+            "nfr_ids": list(bundle.matrix.nfr_ids),
+            "goal_ids": list(bundle.matrix.goal_ids),
+            "marks": [list(row) for row in rows_to_marks(
+                bundle.matrix.rows, len(bundle.matrix.goal_ids))],
+        },
+        "criticality": {
+            "scores": dict(zip(report.nfr_ids, report.scores)),
+            "threshold_mode": str(report.threshold_mode),
+            "threshold_value": format_ratio(report.threshold_value),
+            "critical": list(report.critical),
+        },
+    }
+    return json.dumps(data, indent=2, ensure_ascii=False)
+
+
+def many_goal_model(rng):
+    """A clean model with 10 to 14 goals, so header widths differ (G9,
+    G10), whose first NFR marks the last column and whose last NFR marks
+    nothing."""
+    goals = [Goal(f"g{j}", f"Goal {j}", ("s",))
+             for j in range(rng.randint(10, 14))]
+    subgoals = [SubGoal(f"sg{j}", f"Sub {j}",
+                        tuple(rng.sample([g.id for g in goals],
+                                         rng.randint(1, 3))) + (goal.id,))
+                for j, goal in enumerate(goals)]
+    nfrs = [Nfr(f"n{i}", "N" * rng.randrange(12),
+                tuple(rng.sample([sg.id for sg in subgoals], rng.randint(0, 2))),
+                tuple(rng.sample([g.id for g in goals], rng.randint(0, 4))))
+            for i in range(rng.randint(1, 8))]
+    nfrs[0] = Nfr("n0", "First", (), (goals[-1].id,))
+    nfrs.append(Nfr("loose", "Loose"))
+    return Model("S", (Stakeholder("s", "S"),), tuple(goals), tuple(subgoals),
+                 tuple(nfrs))
+
+
+def bundles_for_oracles():
+    """Fixtures, 200 random models that pass validation and 50 with many
+    goals, each with a few threshold modes."""
+    models = [load_library(), load_atm()]
+    rng = random.Random(505)
+    while len(models) < 202:
+        model = random_model(rng, for_serialization=len(models) % 2 == 0)
+        if model.nfrs:
+            models.append(model)
+    models += [many_goal_model(rng) for _ in range(50)]
+    for index, model in enumerate(models):
+        mode = (ThresholdMode.mean(), ThresholdMode.top_k(2),
+                ThresholdMode.absolute(0))[index % 3]
+        yield build_bundle(model, mode)
 
 
 # ------------------------------------------------------------ ratio lines
@@ -162,7 +277,8 @@ def test_matrix_table_round_trips_the_marks(library_model, atm_model):
     for model in (library_model, atm_model):
         matrix = build_traceability_matrix(model)
         table = render_matrix_table(matrix, rank_criticality(matrix))
-        assert table_marks(table, len(matrix.nfr_ids)) == matrix.marks
+        assert marks_to_rows(table_marks(table, len(matrix.nfr_ids))) \
+            == matrix.rows
 
 
 def test_usability_row_marks_g2_through_g8(library_model):
@@ -210,6 +326,14 @@ def test_one_by_one_table_golden():
                      "N    X   1\n"
                      "\n"
                      "G1 = G\n")
+
+
+def test_table_matches_the_cell_by_cell_reference():
+    for bundle in bundles_for_oracles():
+        for legend in (True, False):
+            assert render_matrix_table(bundle.matrix, bundle.criticality,
+                                       legend) \
+                == reference_table(bundle.matrix, bundle.criticality, legend)
 
 
 def test_table_refuses_empty_matrix(library_model):
@@ -326,8 +450,62 @@ def test_json_marks_reconstruct_the_matrix(library_model, atm_model):
         data = json.loads(export_json(bundle))
         assert data["matrix"]["nfr_ids"] == list(bundle.matrix.nfr_ids)
         assert data["matrix"]["goal_ids"] == list(bundle.matrix.goal_ids)
-        rebuilt = tuple(tuple(row) for row in data["matrix"]["marks"])
-        assert rebuilt == bundle.matrix.marks
+        marks = data["matrix"]["marks"]
+        assert {len(row) for row in marks} == {len(bundle.matrix.goal_ids)}
+        assert marks_to_rows(marks) == bundle.matrix.rows
+
+
+def test_json_matches_the_dict_reference():
+    for bundle in bundles_for_oracles():
+        assert export_json(bundle) == reference_json(bundle)
+
+
+HOSTILE_TEXT = ('\x00 \u2028\u2029\xa0\t\\ \\" null [] {} marks: []'
+                ' "marks": [] ],\n    [ } \u00e9\u4e2d\U0001f600')
+
+
+def hostile_model(*, flat=False):
+    """Names and ids full of JSON punctuation; an NFR is called "marks"
+    and one "criticality".  ``flat`` gives every NFR the same score, so
+    the mean mode picks nobody."""
+    goals = (Goal("g1", HOSTILE_TEXT, ("s",)),
+             Goal(f"g2 {HOSTILE_TEXT}", "]\n}", ("s",)))
+    subgoals = (SubGoal("sg", HOSTILE_TEXT, ("g1", goals[1].id)),)
+    nfrs = (Nfr("marks", HOSTILE_TEXT, ("sg",)),
+            Nfr("criticality", '"marks": []', () if flat else ("sg",),
+                ("g1",)),
+            Nfr(HOSTILE_TEXT, "null", (), (goals[1].id,)),
+            Nfr("loose", "[]"))
+    if flat:
+        nfrs = nfrs[1:3]
+    return Model(HOSTILE_TEXT, (Stakeholder("s", HOSTILE_TEXT),), goals,
+                 subgoals, nfrs)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_json_splice_survives_hostile_text(flat):
+    bundle = build_bundle(hostile_model(flat=flat))
+    assert bool(bundle.criticality.critical) is not flat
+    text = export_json(bundle)
+    assert text == reference_json(bundle)
+    data = json.loads(text)
+    assert data["system"] == HOSTILE_TEXT
+    assert marks_to_rows(data["matrix"]["marks"]) == bundle.matrix.rows
+    assert data["criticality"]["critical"] == list(bundle.criticality.critical)
+
+
+def test_json_degenerate_matrices_match_the_reference(library_model):
+    """Bundles the analysis never builds (no NFR rows, or rows over no
+    goals) still export as the reference lays them out."""
+    bundle = build_bundle(library_model)
+    matrix = bundle.matrix
+    for degenerate in (
+        replace(matrix, nfr_ids=(), nfr_names=(), rows=()),
+        replace(matrix, goal_ids=(), goal_names=(),
+                rows=((),) * len(matrix.rows)),
+    ):
+        hand_built = replace(bundle, matrix=degenerate)
+        assert export_json(hand_built) == reference_json(hand_built)
 
 
 def test_json_atm_critical_set(atm_model):
