@@ -22,6 +22,7 @@ from .analysis import (
     derive_status,
     rank_criticality,
     score_checklist,
+    score_nfr,
 )
 from .dsl import ParseError, SerializeError, SourceSpan, parse, serialize
 from .model import (
@@ -32,11 +33,7 @@ from .model import (
     Nfr,
     Stakeholder,
     SubGoal,
-    UnknownIdError,
     UnresolvedCheck,
-    goals_of_stakeholder,
-    nfrs_of_subgoal,
-    subgoals_of_goal,
     validate_structure,
 )
 from .report import (
@@ -71,7 +68,6 @@ __all__ = [
     "SubGoal",
     "ThresholdMode",
     "TraceabilityMatrix",
-    "UnknownIdError",
     "UnresolvedCheck",
     "VALIDATED_CORRECT",
     "build_bundle",
@@ -80,14 +76,12 @@ __all__ = [
     "derive_status",
     "export_json",
     "format_ratio",
-    "goals_of_stakeholder",
-    "nfrs_of_subgoal",
     "parse",
     "rank_criticality",
     "render_matrix_table",
     "render_summary",
     "score_checklist",
+    "score_nfr",
     "serialize",
-    "subgoals_of_goal",
     "validate_structure",
 ]

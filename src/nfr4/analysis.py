@@ -16,7 +16,6 @@ from .model import (
     Model,
     Nfr,
     UNANSWERED,
-    UnknownIdError,
     YES,
     validate_structure,
 )
@@ -50,8 +49,7 @@ def derive_status(nfr: Nfr) -> str:
     Anything less -- an unanswered slot or a single no -- leaves it
     not-yet-validated; a "no" marks open work, not a verdict.
     """
-    record = nfr.checklist
-    if record.answered_count == CHECKLIST_SIZE and record.yes_count == CHECKLIST_SIZE:
+    if nfr.checklist.yes_count == CHECKLIST_SIZE:
         return VALIDATED_CORRECT
     return NOT_YET_VALIDATED
 
@@ -93,20 +91,13 @@ def score_nfr(nfr: Nfr) -> ChecklistScore:
                           Fraction(record.yes_count, CHECKLIST_SIZE))
 
 
-def score_checklist(model: Model, nfr_id: str | None = None) -> ChecklistScore:
-    """Score the eight-question checklist.
+def score_checklist(model: Model) -> ChecklistScore:
+    """Score the whole model's eight-question checklist.
 
-    For a single NFR the score is its yes-count over eight.  For the
-    whole model (``nfr_id=None``) a question counts as yes only when
-    every NFR answers it yes, and as answered only when every NFR
-    answered it; with zero NFRs both hold vacuously.
+    A question counts as yes only when every NFR answers it yes, and as
+    answered only when every NFR answered it; with zero NFRs both hold
+    vacuously.  ``score_nfr`` scores one NFR.
     """
-    if nfr_id is not None:
-        for nfr in model.nfrs:
-            if nfr.id == nfr_id:
-                return score_nfr(nfr)
-        raise UnknownIdError(f"unknown NFR id: {nfr_id!r}")
-
     yes = 0
     answered = 0
     for question in range(CHECKLIST_SIZE):

@@ -31,10 +31,10 @@ from .model import Diagnostic, Model, validate_structure
 from .report import (
     build_bundle,
     export_json,
-    format_ratio,
     mcr_line,
     render_matrix_table,
     render_summary,
+    threshold_line,
     validation_line,
 )
 
@@ -182,8 +182,7 @@ def _cmd_ranking(args: argparse.Namespace) -> int:
         return EXIT_OK
     for nfr_id, score in zip(criticality.nfr_ids, criticality.scores):
         print(f"{nfr_id}: {score}")
-    print(f"threshold ({criticality.threshold_mode}):"
-          f" {format_ratio(criticality.threshold_value)}")
+    print(threshold_line(criticality))
     print(f"critical: {', '.join(criticality.critical)}".rstrip())
     return EXIT_OK
 

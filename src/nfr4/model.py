@@ -2,10 +2,12 @@
 
 A model is a lattice of four ordered layers: stakeholders own goals,
 goals decompose into sub-goals, and NFRs attach to sub-goals or
-directly to goals.  All types are immutable; construction is permissive
-(dangling references, empty edge lists and duplicate ids are allowed)
-so that ``validate_structure`` can report problems instead of the
-constructors rejecting them.
+directly to goals.  All types are immutable and hashable.  Layer and
+edge fields (``owners``, ``parents``, ``attached_goals``,
+``attached_subgoals``, ``answers``) take tuples; lists are not converted.
+Construction is permissive (dangling references, empty edges and
+duplicate ids are allowed) so that ``validate_structure`` can report
+problems instead of the constructors rejecting them.
 """
 
 from __future__ import annotations
@@ -30,14 +32,6 @@ SEVERITY_BY_RULE = {
 }
 
 
-class UnknownIdError(ValueError):
-    """Raised when an accessor is queried with an id that does not resolve."""
-
-
-def _as_tuple(value) -> tuple:
-    return value if isinstance(value, tuple) else tuple(value)
-
-
 @dataclass(frozen=True, slots=True)
 class Stakeholder:
     id: str
@@ -54,9 +48,6 @@ class Goal:
     owners: tuple[str, ...] = ()
     line: int | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "owners", _as_tuple(self.owners))
-
 
 @dataclass(frozen=True, slots=True)
 class SubGoal:
@@ -71,9 +62,6 @@ class SubGoal:
     parents: tuple[str, ...] = ()
     line: int | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", _as_tuple(self.parents))
-
 
 @dataclass(frozen=True, slots=True)
 class ChecklistRecord:
@@ -86,7 +74,6 @@ class ChecklistRecord:
     answers: tuple[str, ...] = (UNANSWERED,) * CHECKLIST_SIZE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "answers", _as_tuple(self.answers))
         if len(self.answers) != CHECKLIST_SIZE:
             raise ValueError(f"checklist must have {CHECKLIST_SIZE} answers")
         for answer in self.answers:
@@ -118,10 +105,6 @@ class Nfr:
     checklist: ChecklistRecord = ChecklistRecord()
     line: int | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attached_subgoals", _as_tuple(self.attached_subgoals))
-        object.__setattr__(self, "attached_goals", _as_tuple(self.attached_goals))
-
 
 @dataclass(frozen=True, slots=True)
 class UnresolvedCheck:
@@ -151,10 +134,6 @@ class Model:
     nfrs: tuple[Nfr, ...] = ()
     unresolved_checks: tuple[UnresolvedCheck, ...] = ()
     source_path: str | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("stakeholders", "goals", "subgoals", "nfrs", "unresolved_checks"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,23 +249,3 @@ def validate_structure(model: Model) -> list[Diagnostic]:
 
     return found
 
-
-def goals_of_stakeholder(model: Model, stakeholder_id: str) -> list[Goal]:
-    """Goals owned by the stakeholder, in declaration order."""
-    if stakeholder_id not in {s.id for s in model.stakeholders}:
-        raise UnknownIdError(f"unknown stakeholder id: {stakeholder_id!r}")
-    return [g for g in model.goals if stakeholder_id in g.owners]
-
-
-def subgoals_of_goal(model: Model, goal_id: str) -> list[SubGoal]:
-    """Sub-goals that list the goal as a parent, in declaration order."""
-    if goal_id not in {g.id for g in model.goals}:
-        raise UnknownIdError(f"unknown goal id: {goal_id!r}")
-    return [s for s in model.subgoals if goal_id in s.parents]
-
-
-def nfrs_of_subgoal(model: Model, subgoal_id: str) -> list[Nfr]:
-    """NFRs attached directly to the sub-goal, in declaration order."""
-    if subgoal_id not in {s.id for s in model.subgoals}:
-        raise UnknownIdError(f"unknown sub-goal id: {subgoal_id!r}")
-    return [n for n in model.nfrs if subgoal_id in n.attached_subgoals]

@@ -45,6 +45,11 @@ def validation_line(score: ChecklistScore) -> str:
             f" = {format_ratio(score.metric)}")
 
 
+def threshold_line(criticality: CriticalityReport) -> str:
+    return (f"threshold ({criticality.threshold_mode}):"
+            f" {format_ratio(criticality.threshold_value)}")
+
+
 @dataclass(frozen=True, slots=True)
 class ReportBundle:
     """Everything the report renderers need, computed from one model."""
@@ -126,14 +131,9 @@ def _critical_lines(bundle: ReportBundle) -> list[str]:
     report = bundle.criticality
     names = dict(zip(bundle.matrix.nfr_ids, bundle.matrix.nfr_names))
     scores = dict(zip(report.nfr_ids, report.scores))
-    lines = [f"threshold ({report.threshold_mode}):"
-             f" {format_ratio(report.threshold_value)}"]
-    if report.critical:
-        lines.extend(f"{names[nfr_id]} ({scores[nfr_id]})"
-                     for nfr_id in report.critical)
-    else:
-        lines.append("none")
-    return lines
+    critical = [f"{names[nfr_id]} ({scores[nfr_id]})"
+                for nfr_id in report.critical]
+    return [threshold_line(report), *(critical or ["none"])]
 
 
 def render_summary(bundle: ReportBundle, format: str = "text") -> str:

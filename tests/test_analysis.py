@@ -19,6 +19,7 @@ from nfr4.analysis import (
     derive_status,
     rank_criticality,
     score_checklist,
+    score_nfr,
 )
 from nfr4.model import (
     ANSWERS,
@@ -29,7 +30,6 @@ from nfr4.model import (
     Nfr,
     Stakeholder,
     SubGoal,
-    UnknownIdError,
 )
 
 from support import brute_force_marks, marks_to_rows, random_model
@@ -130,15 +130,16 @@ def test_mcr_never_drops_when_a_record_completes(rows, data):
 
 
 def test_per_nfr_score(library_model):
-    score = score_checklist(library_model, "usability")
+    score = score_nfr(next(n for n in library_model.nfrs
+                           if n.id == "usability"))
     assert (score.subject, score.yes_count, score.answered_count) \
         == ("usability", 8, 8)
     assert score.metric == Fraction(1)
 
 
 def test_per_nfr_score_counts_directly():
-    model = model_of([("yes",) * 4 + ("no",) * 2 + ("unanswered",) * 2])
-    score = score_checklist(model, "n0")
+    score = score_nfr(nfr_with(("yes",) * 4 + ("no",) * 2
+                               + ("unanswered",) * 2, "n0"))
     assert score.yes_count == 4
     assert score.answered_count == 6
     assert score.metric == Fraction(1, 2)
@@ -163,11 +164,6 @@ def test_whole_model_score_on_fixtures(library_model, atm_model):
 def test_whole_model_score_vacuous_without_nfrs():
     score = score_checklist(Model("S"))
     assert (score.yes_count, score.answered_count) == (8, 8)
-
-
-def test_score_checklist_rejects_unknown_id(library_model):
-    with pytest.raises(UnknownIdError):
-        score_checklist(library_model, "nope")
 
 
 @given(st.lists(answer_row, min_size=1, max_size=6))

@@ -1,11 +1,11 @@
-"""Core model types, structural lint rules and layer accessors."""
+"""Core model types and structural lint rules."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nfr4.dsl import parse
+from nfr4.dsl import parse, serialize
 from nfr4.model import (
     ChecklistRecord,
     Goal,
@@ -14,11 +14,7 @@ from nfr4.model import (
     SEVERITY_BY_RULE,
     Stakeholder,
     SubGoal,
-    UnknownIdError,
     UnresolvedCheck,
-    goals_of_stakeholder,
-    nfrs_of_subgoal,
-    subgoals_of_goal,
     validate_structure,
 )
 
@@ -300,57 +296,6 @@ def test_diagnostics_ignore_display_names(goal_name, nfr_name):
     assert validate_structure(variant) == validate_structure(base)
 
 
-# -------------------------------------------------------------- accessors
-
-
-def test_goals_of_stakeholder_in_declaration_order(library_model):
-    ids = [g.id for g in goals_of_stakeholder(library_model, "member")]
-    assert ids == ["login", "search_book", "borrow_book", "return_book",
-                   "view_catalog", "reserve_book", "pay_fine"]
-
-
-def test_goals_of_stakeholder_shared_goal(library_model):
-    for stakeholder in ("member", "admin", "librarian"):
-        owned = goals_of_stakeholder(library_model, stakeholder)
-        assert "login" in [g.id for g in owned]
-
-
-def test_subgoals_of_goal_search_paths(library_model):
-    ids = [s.id for s in subgoals_of_goal(library_model, "search_book")]
-    assert {"search_by_author", "search_by_title", "search_by_isbn"} <= set(ids)
-    # Declaration order is preserved.
-    assert ids.index("search_by_author") < ids.index("search_by_title") \
-        < ids.index("search_by_isbn")
-
-
-def test_subgoals_of_goal_exact(library_model):
-    ids = [s.id for s in subgoals_of_goal(library_model, "add_item")]
-    assert ids == ["add_book", "add_journal", "add_cds", "update_book_info"]
-
-
-def test_nfrs_of_subgoal_direct_attachment_only(library_model):
-    # The shipped fixtures attach NFRs at goal level only.
-    assert nfrs_of_subgoal(library_model, "get_book") == []
-    model = tiny_model(nfrs=(Nfr("n", "N", ("sg",)),))
-    assert [n.id for n in nfrs_of_subgoal(model, "sg")] == ["n"]
-
-
-def test_accessors_reject_unknown_ids(library_model):
-    with pytest.raises(UnknownIdError):
-        goals_of_stakeholder(library_model, "nobody")
-    with pytest.raises(UnknownIdError):
-        subgoals_of_goal(library_model, "nothing")
-    with pytest.raises(UnknownIdError):
-        nfrs_of_subgoal(library_model, "nowhere")
-
-
-def test_accessor_empty_results_are_lists():
-    model = tiny_model(goals=(Goal("g", "G", ("s",)),
-                              Goal("lonely", "L", ("s",))),
-                       subgoals=(SubGoal("sg", "SG", ("g",)),))
-    assert subgoals_of_goal(model, "lonely") == []
-
-
 # -------------------------------------------------------------- checklist
 
 
@@ -379,3 +324,29 @@ def test_equality_ignores_source_provenance():
         (Nfr("n", "N", (), ("g",), line=5),),
         source_path="elsewhere.nfr4",
     )
+
+
+# ----------------------------------------------------------- tuple fields
+
+
+def assert_tuples_all_the_way_down(model):
+    """Every layer and edge field is a tuple, so the model hashes."""
+    layers = (model.stakeholders, model.goals, model.subgoals, model.nfrs,
+              model.unresolved_checks)
+    assert all(type(layer) is tuple for layer in layers)
+    edges = [goal.owners for goal in model.goals]
+    edges += [subgoal.parents for subgoal in model.subgoals]
+    for nfr in model.nfrs:
+        edges += [nfr.attached_goals, nfr.attached_subgoals,
+                  nfr.checklist.answers]
+    assert all(type(edge) is tuple for edge in edges)
+    hash(model)
+
+
+def test_parsed_models_hold_tuples_and_hash(library_model, atm_model):
+    assert_tuples_all_the_way_down(library_model)
+    assert_tuples_all_the_way_down(atm_model)
+    rng = random.Random(6)
+    for _ in range(200):
+        model = parse(serialize(random_model(rng, for_serialization=True)))
+        assert_tuples_all_the_way_down(model)
