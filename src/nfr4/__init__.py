@@ -24,7 +24,7 @@ from .analysis import (
     score_checklist,
     score_nfr,
 )
-from .dsl import ParseError, SerializeError, SourceSpan, parse, serialize
+from .dsl import ParseError, SerializeError, parse, serialize
 from .model import (
     ChecklistRecord,
     Diagnostic,
@@ -63,7 +63,6 @@ __all__ = [
     "ParseError",
     "ReportBundle",
     "SerializeError",
-    "SourceSpan",
     "Stakeholder",
     "SubGoal",
     "ThresholdMode",

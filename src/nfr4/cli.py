@@ -11,6 +11,7 @@ analysis, 3 analysis precondition violated (e.g. no NFRs), 64 bad usage,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Callable
@@ -116,6 +117,8 @@ def _display_path(path: str) -> str:
 
 def _read_input(path: str) -> bytes:
     if path == "-":
+        if sys.stdin is None:  # fd 0 was closed at launch
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         return sys.stdin.buffer.read()
     return Path(path).read_bytes()
 
@@ -123,7 +126,7 @@ def _read_input(path: str) -> bytes:
 def _print_parse_errors(errors: list[ParseError], path: str) -> None:
     where = _display_path(path)
     for error in errors:
-        print(f"{where}:{error.span.line}:{error.span.column}:"
+        print(f"{where}:{error.line}:{error.column}:"
               f" {error.kind}: {error.message}", file=sys.stderr)
 
 
@@ -148,7 +151,7 @@ def _load_gated(path: str,
         print(f"error: cannot read {_display_path(path)}: {exc}",
               file=sys.stderr)
         sys.exit(failure_code)
-    model = parse(raw, source_path=None if path == "-" else path)
+    model = parse(raw)
     if isinstance(model, list):
         _print_parse_errors(model, path)
         sys.exit(failure_code)
@@ -199,6 +202,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # fd 1 was closed at launch: act as a pipe whose reader is gone.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w", encoding="utf-8")
     try:
         code = args.handler(args)
         sys.stdout.flush()

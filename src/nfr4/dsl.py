@@ -21,15 +21,16 @@ the whole file is scanned, against goals first.  Unresolvable
 references are not parse errors -- they surface as REF diagnostics
 from ``validate_structure``.
 
-A well-formed line is read with one regex match for its keyword.  Every
+A well-formed line is read with one match of the statement regex.  Every
 other line goes to the token walker, which finds its error (or that it
 is blank); the walker is the only source of parse errors and the
-reference the statement regexes are tested against.
+reference the statement regex is tested against.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,40 +61,28 @@ _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
 _TOKEN_RE = re.compile(
     r'(?P<comma>,)|"(?P<string>[^"]*)"|(?P<word>[^ \t,"#]+)|(?P<comment>#)|"')
 
-# Well-formed statements, one regex per keyword.  A line fullmatches its
-# keyword's regex exactly when ``_parse_line`` accepts it, with the same
-# fields; every other line goes to ``_parse_line``.  ``_KEYWORD_RE`` reads
-# the leading lowercase word, which on a well-formed line is the keyword.
-_KEYWORD_RE = re.compile(r"[ \t]*([a-z]*)")
-_NAME = r'[ \t]*"([^"]*)"'
-_END = r"[ \t]*(?:#.*)?"
-_STATEMENT_RES = {
-    "system": re.compile(rf"[ \t]*system{_NAME}{_END}"),
-    "stakeholder": re.compile(
-        rf"[ \t]*stakeholder[ \t]+({_ID}){_NAME}{_END}"),
-    **{keyword: re.compile(rf"[ \t]*{keyword}[ \t]+({_ID}){_NAME}"
-                           rf"[ \t]*{connective}[ \t]+"
-                           rf"({_ID}(?:[ \t]*,[ \t]*{_ID})*){_END}")
-       for keyword, connective in _CONNECTIVE.items()},
-    "check": re.compile(rf"[ \t]*check[ \t]+({_ID})"
-                        rf"[ \t]+0*([1-{CHECKLIST_SIZE}])"
-                        rf"[ \t]+({YES}|{NO}){_END}"),
-}
+# Well-formed statements.  A line fullmatches this regex, with the
+# connective its keyword takes (``_match_statement`` checks that), exactly
+# when ``_parse_line`` accepts it, with the same fields; every other line
+# goes to ``_parse_line``.  Groups: check id, index and answer; element
+# keyword (None for system), id, name, connective and refs.
+_STATEMENT_RE = re.compile(
+    rf"[ \t]*(?:check[ \t]+({_ID})[ \t]+0*([1-{CHECKLIST_SIZE}])"
+    rf"[ \t]+({YES}|{NO})"
+    rf"|(?:system|(stakeholder|goal|subgoal|nfr)[ \t]+({_ID}))"
+    rf'[ \t]*"([^"]*)"'
+    rf"(?:[ \t]*(for|of|on)[ \t]+({_ID}(?:[ \t]*,[ \t]*{_ID})*))?"
+    rf")[ \t]*(?:#.*)?")
 _REF_SEPARATOR_RE = re.compile(r"[ \t]*,[ \t]*")
 
 
 @dataclass(frozen=True, slots=True)
-class SourceSpan:
-    """1-based line and column of a source location."""
+class ParseError:
+    """One parse problem at a 1-based line and column."""
 
+    kind: str
     line: int
     column: int
-
-
-@dataclass(frozen=True, slots=True)
-class ParseError:
-    kind: str
-    span: SourceSpan
     message: str
 
 
@@ -120,43 +109,22 @@ class _Statement(NamedTuple):
 
 def _match_statement(text: str, lineno: int) -> _Statement | None:
     """The statement on a well-formed line, or None for any other line."""
-    keyword = _KEYWORD_RE.match(text)[1]
-    pattern = _STATEMENT_RES.get(keyword)
-    match = pattern.fullmatch(text) if pattern is not None else None
+    match = _STATEMENT_RE.fullmatch(text)
     if match is None:
         return None
-    # Check statements, most lines of a large model, take the shared
-    # keyword and answer constants instead of the new strings a match
-    # returns; the model keeps every answer.
-    if keyword == "check":
-        ident, index, answer = match.groups()
-        return _Statement("check", lineno, ident, index=int(index),
+    check_id, index, answer, keyword, ident, name, connective, refs \
+        = match.groups()
+    # Statements take shared keyword strings, and checks (most lines of a
+    # large model) the shared answer constants, instead of the new
+    # strings a match returns; the model keeps every answer.
+    if check_id is not None:
+        return _Statement("check", lineno, check_id, index=int(index),
                           answer=YES if answer == YES else NO)
-    if keyword == "system":
-        return _Statement("system", lineno, name=match[1])
-    if keyword == "stakeholder":
-        return _Statement("stakeholder", lineno, match[1], match[2])
-    ident, name, refs = match.groups()
-    return _Statement(keyword, lineno, ident, name,
-                      tuple(_REF_SEPARATOR_RE.split(refs)))
-
-
-def _tokenize(text: str, lineno: int) -> list[_Token] | ParseError:
-    """Split one line into tokens; ``#`` outside a string ends the line."""
-    tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "comment":
-            break
-        if kind is None:
-            return ParseError(
-                "unterminated-string",
-                SourceSpan(lineno, match.start() + 1),
-                "unterminated display name",
-            )
-        tokens.append(_Token(kind, match[kind], match.start() + 1,
-                             match.end() + 1))
-    return tokens
+    keyword = sys.intern(keyword or "system")
+    if connective != _CONNECTIVE.get(keyword):
+        return None
+    return _Statement(keyword, lineno, ident or "", name,
+                      tuple(_REF_SEPARATOR_RE.split(refs)) if refs else ())
 
 
 def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
@@ -165,14 +133,22 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
     At most one error is reported per line (the first problem found),
     so fixing a line removes exactly its error.
     """
-    tokens = _tokenize(text, lineno)
-    if isinstance(tokens, ParseError):
-        return tokens
+    def error(kind: str, message: str, column: int) -> ParseError:
+        return ParseError(kind, lineno, column, message)
+
+    # Split the line into tokens; ``#`` outside a string ends it.
+    tokens: list[_Token] = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "comment":
+            break
+        if kind is None:
+            return error("unterminated-string", "unterminated display name",
+                         match.start() + 1)
+        tokens.append(_Token(kind, match[kind], match.start() + 1,
+                             match.end() + 1))
     if not tokens:
         return None
-
-    def error(kind: str, message: str, column: int) -> ParseError:
-        return ParseError(kind, SourceSpan(lineno, column), message)
 
     def missing(message: str) -> ParseError:
         return error("malformed-line", message, tokens[-1].end)
@@ -281,7 +257,7 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
                       refs=tuple(refs))
 
 
-def parse(source: str | bytes, *, source_path: str | None = None) -> Model | list[ParseError]:
+def parse(source: str | bytes) -> Model | list[ParseError]:
     """Parse DSL text into a Model, or return every error found.
 
     Never raises on malformed input: all problems in one pass come back
@@ -297,14 +273,10 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
     statements: dict[str, list[_Statement]] = {k: [] for k in _KEYWORDS}
     for lineno, raw in enumerate(source.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        result = _match_statement(line, lineno)
-        if result is None:
-            result = _parse_line(line, lineno)
-        if result is None:
-            continue
+        result = _match_statement(line, lineno) or _parse_line(line, lineno)
         if isinstance(result, ParseError):
             errors.append(result)
-        else:
+        elif result is not None:
             statements[result.keyword].append(result)
 
     systems = statements["system"]
@@ -315,24 +287,19 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
         if first_element_line is not None \
                 and first_element_line < systems[0].line:
             errors.append(ParseError(
-                "missing-system",
-                SourceSpan(first_element_line, 1),
-                "element declared before the system statement",
-            ))
+                "missing-system", first_element_line, 1,
+                "element declared before the system statement"))
         for statement in systems[1:]:
-            errors.append(ParseError(
-                "duplicate-system",
-                SourceSpan(statement.line, 1),
-                "system is already declared",
-            ))
+            errors.append(ParseError("duplicate-system", statement.line, 1,
+                                     "system is already declared"))
     elif not errors:
         # A failed system line already carries its own error; only a file
         # with nothing else wrong gets the generic complaint.
-        errors.append(ParseError(
-            "missing-system", SourceSpan(1, 1), "no system declaration"))
+        errors.append(ParseError("missing-system", 1, 1,
+                                 "no system declaration"))
 
     if errors:
-        errors.sort(key=lambda e: (e.span.line, e.span.column))
+        errors.sort(key=lambda e: (e.line, e.column))
         return errors
 
     stakeholders = [Stakeholder(s.id, s.name, line=s.line)
@@ -378,8 +345,7 @@ def parse(source: str | bytes, *, source_path: str | None = None) -> Model | lis
                         checklist, line=statement.line))
 
     return Model(systems[0].name, tuple(stakeholders), tuple(goals),
-                 tuple(subgoals), tuple(nfrs), tuple(unresolved),
-                 source_path=source_path)
+                 tuple(subgoals), tuple(nfrs), tuple(unresolved))
 
 
 def _check_name(kind: str, ident: str, name: str) -> None:
@@ -398,8 +364,10 @@ def serialize(model: Model) -> str:
     goal attachments before sub-goal attachments; unanswered checklist
     slots are omitted.  Refuses models the grammar cannot express:
     dangling or unapplied references, empty edge lists, invalid
-    identifiers or display names, and ids shared between the goal and
-    sub-goal layers (the ``on`` list could not tell them apart).
+    identifiers or display names, ids shared between the goal and
+    sub-goal layers (the ``on`` list could not tell them apart), and
+    checklist answers on an NFR whose id an earlier NFR already has
+    (``parse`` gives every ``check`` line to the first NFR with its id).
     """
     if '"' in model.system_name or "\n" in model.system_name:
         raise SerializeError("system display name contains a quote or newline")
@@ -433,8 +401,13 @@ def serialize(model: Model) -> str:
                     f"sub-goal '{subgoal.id}' references unknown goal '{parent}'")
         lines.append(f'subgoal {subgoal.id} "{subgoal.name}"'
                      f' of {", ".join(subgoal.parents)}')
+    nfr_ids: set[str] = set()
     for nfr in model.nfrs:
         _check_name("NFR", nfr.id, nfr.name)
+        if nfr.id in nfr_ids and nfr.checklist.answered_count:
+            raise SerializeError(
+                f"NFR '{nfr.id}' is declared again with checklist answers")
+        nfr_ids.add(nfr.id)
         targets = list(nfr.attached_goals) + list(nfr.attached_subgoals)
         if not targets:
             raise SerializeError(f"NFR '{nfr.id}' has no attachments")

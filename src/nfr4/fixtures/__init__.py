@@ -14,7 +14,7 @@ ATM_PATH = _HERE / "atm.nfr4"
 
 
 def _load(path: Path) -> Model:
-    result = parse(path.read_bytes(), source_path=str(path))
+    result = parse(path.read_bytes())
     if isinstance(result, list):
         raise RuntimeError(f"shipped fixture failed to parse: {path}")
     return result

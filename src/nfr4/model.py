@@ -121,7 +121,7 @@ class UnresolvedCheck:
 
 @dataclass(frozen=True, slots=True)
 class Model:
-    """One analyzed system: the four layers plus provenance.
+    """One analyzed system: the four layers plus unresolved checks.
 
     Layer tuples preserve declaration order; every derived artifact
     (diagnostics, matrices, reports) follows that order.
@@ -133,7 +133,6 @@ class Model:
     subgoals: tuple[SubGoal, ...] = ()
     nfrs: tuple[Nfr, ...] = ()
     unresolved_checks: tuple[UnresolvedCheck, ...] = ()
-    source_path: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)

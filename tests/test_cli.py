@@ -131,6 +131,16 @@ def test_check_unreadable_file(tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command, code", [("check", 1), ("report", 2)])
+def test_closed_stdin_is_unreadable(monkeypatch, command, code):
+    # Python sets sys.stdin to None when fd 0 is closed at launch (`<&-`).
+    monkeypatch.setattr(sys, "stdin", None)
+    exit_code, out, err = run_cli([command, "-"])
+    assert (exit_code, out) == (code, "")
+    assert err.startswith("error: cannot read <stdin>: ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- metrics
 
 
@@ -440,3 +450,11 @@ def test_closed_stdout_exits_141_quietly(launcher):
     assert b"Traceback" not in proc.stderr
     assert b"Exception ignored" not in proc.stderr
     assert proc.stderr == b""
+    # fd 1 closed at launch (`>&-`) is a reader gone before the start;
+    # check writes nothing to stdout, so it keeps its own exit code.
+    for argv, code in ((["metrics", LIBRARY], 141),
+                       (["report", "--format", "json", LIBRARY], 141),
+                       (["check", LIBRARY], 0)):
+        proc = launch(launcher, argv, stdout=subprocess.DEVNULL,
+                      preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (code, b""), argv

@@ -322,7 +322,6 @@ def test_equality_ignores_source_provenance():
         (Goal("g", "G", ("s",), line=3),),
         (SubGoal("sg", "SG", ("g",), line=4),),
         (Nfr("n", "N", (), ("g",), line=5),),
-        source_path="elsewhere.nfr4",
     )
 
 
