@@ -228,25 +228,114 @@ def test_unterminated_string_points_at_quote():
     assert (errors[0].line, errors[0].column) == (1, 8)
 
 
+_T = 'system "T"\n'
+
+# One malformed input per parse-error message, every per-keyword variant
+# included.  Kind, line, column and message are what ``check`` prints on
+# stderr, so each must stay exactly as it is.
+PARSE_ERROR_GOLDEN = [
+    (_T + 'stakeholder s "S', "unterminated-string", 2, 15,
+     "unterminated display name"),
+    (_T + 'stakehodler s "S"', "unknown-keyword", 2, 1,
+     "unknown keyword 'stakehodler'"),
+    (_T + ', a', "unknown-keyword", 2, 1, "unknown keyword ','"),
+    # system
+    (_T + 'system', "malformed-line", 2, 7,
+     "system needs a quoted display name"),
+    (_T + 'system x', "malformed-line", 2, 8,
+     "expected quoted display name, got 'x'"),
+    (_T + 'system "A" "B"', "malformed-line", 2, 12,
+     "unexpected 'B' after display name"),
+    # check
+    (_T + 'check n 1', "malformed-line", 2, 10,
+     "check needs an NFR id, a question number and yes/no"),
+    (_T + 'check N 1 yes', "bad-identifier", 2, 7, "bad identifier 'N'"),
+    (_T + 'check n 9 yes', "bad-checklist-index", 2, 9,
+     "checklist question number must be 1..8, got '9'"),
+    (_T + 'check n 1 maybe', "bad-checklist-answer", 2, 11,
+     "checklist answer must be yes or no, got 'maybe'"),
+    (_T + 'check n 1 yes no', "malformed-line", 2, 15,
+     "unexpected 'no' after answer"),
+    # the element id
+    (_T + 'stakeholder', "malformed-line", 2, 12,
+     "stakeholder needs an identifier"),
+    (_T + 'goal', "malformed-line", 2, 5, "goal needs an identifier"),
+    (_T + 'subgoal', "malformed-line", 2, 8, "subgoal needs an identifier"),
+    (_T + 'nfr', "malformed-line", 2, 4, "nfr needs an identifier"),
+    (_T + 'goal "G" for s', "malformed-line", 2, 6,
+     "expected identifier, got 'G'"),
+    (_T + 'stakeholder Bad "B"', "bad-identifier", 2, 13,
+     "bad identifier 'Bad'"),
+    # the element name
+    (_T + 'stakeholder s', "malformed-line", 2, 14,
+     "stakeholder needs a quoted display name"),
+    (_T + 'goal g', "malformed-line", 2, 7,
+     "goal needs a quoted display name"),
+    (_T + 'subgoal sg', "malformed-line", 2, 11,
+     "subgoal needs a quoted display name"),
+    (_T + 'nfr n', "malformed-line", 2, 6, "nfr needs a quoted display name"),
+    (_T + 'goal g x for s', "malformed-line", 2, 8,
+     "expected quoted display name, got 'x'"),
+    (_T + 'stakeholder s "S" extra', "malformed-line", 2, 19,
+     "unexpected 'extra' after display name"),
+    # the connective
+    (_T + 'goal g "G"', "malformed-line", 2, 11,
+     "goal needs 'for' and at least one id"),
+    (_T + 'goal g1 "Goal"', "malformed-line", 2, 15,
+     "goal needs 'for' and at least one id"),
+    (_T + 'subgoal sg "SG"', "malformed-line", 2, 16,
+     "subgoal needs 'of' and at least one id"),
+    (_T + 'nfr n "N"', "malformed-line", 2, 10,
+     "nfr needs 'on' and at least one id"),
+    (_T + 'goal g "G" of s', "malformed-line", 2, 12,
+     "expected 'for', got 'of'"),
+    (_T + 'subgoal sg "SG" on g', "malformed-line", 2, 17,
+     "expected 'of', got 'on'"),
+    (_T + 'nfr n "N" for a', "malformed-line", 2, 11,
+     "expected 'on', got 'for'"),
+    # the ids after it
+    (_T + 'nfr n "N" on a,, b', "malformed-line", 2, 16,
+     "expected an id, got ','"),
+    (_T + 'nfr n "N" on , a', "malformed-line", 2, 14,
+     "expected an id, got ','"),
+    (_T + 'nfr n "N" on "x"', "malformed-line", 2, 14,
+     "expected an id, got 'x'"),
+    (_T + 'goal g "G" for S', "bad-identifier", 2, 16, "bad identifier 'S'"),
+    (_T + 'goal g "G" for a b', "malformed-line", 2, 18,
+     "expected ',' between ids, got 'b'"),
+    (_T + 'goal g "G" for', "malformed-line", 2, 15,
+     "goal needs at least one id after 'for'"),
+    (_T + 'subgoal sg "SG" of', "malformed-line", 2, 19,
+     "subgoal needs at least one id after 'of'"),
+    (_T + 'nfr n "N" on', "malformed-line", 2, 13,
+     "nfr needs at least one id after 'on'"),
+    (_T + 'subgoal sg "SG" of a,', "malformed-line", 2, 22,
+     "trailing ',' without an id"),
+    # the whole file
+    ('', "missing-system", 1, 1, "no system declaration"),
+    ('stakeholder s "S"\nsystem "T"', "missing-system", 1, 1,
+     "element declared before the system statement"),
+    (_T + 'system "B"', "duplicate-system", 2, 1,
+     "system is already declared"),
+]
+
+
+@pytest.mark.parametrize("text, kind, line, column, message",
+                         PARSE_ERROR_GOLDEN)
+def test_parse_error_message_golden(text, kind, line, column, message):
+    assert errors_of(text + "\n") == [ParseError(kind, line, column, message)]
+
+
 def test_malformed_statement_shapes():
     # A missing part is reported just past the last token; after a quoted
     # name that is one past the closing quote.
-    bad_lines = (
-        ('goal g "G"', 11),                # missing connective
-        ('goal g1 "Goal"', 15),            # missing connective
-        ('goal g "G" of s', 12),           # wrong connective
-        ('subgoal sg "SG" of', 19),        # no ids after connective
-        ('subgoal sg "SG" of a,', 22),     # trailing comma
-        ('nfr n "N" on a,, b', 16),        # doubled comma
-        ('stakeholder s "S" extra', 19),   # trailing junk
-        ('stakeholder s', 14),             # missing display name
-        ('system "A" "B"', 12),            # too many names
-    )
-    for line, column in bad_lines:
-        errors = errors_of('system "T"\n' + line + "\n")
-        assert len(errors) == 1, line
-        assert errors[0].kind == "malformed-line", line
-        assert (errors[0].line, errors[0].column) == (2, column), line
+    missing = [(text, column)
+               for text, kind, _, column, message in PARSE_ERROR_GOLDEN
+               if kind == "malformed-line"
+               and ("needs" in message or message.startswith("trailing"))]
+    assert len(missing) == 18
+    for text, column in missing:
+        assert column == len(text.rsplit("\n", 1)[-1]) + 1, text
 
 
 def test_checklist_index_bounds():
