@@ -24,7 +24,10 @@ from ``validate_structure``.
 A well-formed line is read with one match of the statement regex.  Every
 other line goes to the token walker, which finds its error (or that it
 is blank); the walker is the only source of parse errors and the
-reference the statement regex is tested against.
+reference the statement regex is tested against.  ``check`` has its own
+path in the walker.  Every other line takes one path: keyword, id (none
+for ``system``), quoted name, then either the end of the line or the
+keyword's connective and ids, with a comma between each two ids.
 """
 
 from __future__ import annotations
@@ -130,8 +133,10 @@ def _match_statement(text: str, lineno: int) -> _Statement | None:
 def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
     """Parse one line; None for blank/comment-only lines.
 
-    At most one error is reported per line (the first problem found),
-    so fixing a line removes exactly its error.
+    ``check`` has its own path; the other five keywords share the one
+    path that the module docstring describes.  At most one error is
+    reported per line (the first problem found), so fixing a line removes
+    exactly its error.
     """
     def error(kind: str, message: str, column: int) -> ParseError:
         return ParseError(kind, lineno, column, message)
@@ -158,19 +163,6 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
         return error("unknown-keyword", f"unknown keyword '{head.text}'", head.column)
     keyword = head.text
 
-    if keyword == "system":
-        if len(tokens) < 2:
-            return missing("system needs a quoted display name")
-        if tokens[1].kind != "string":
-            return error("malformed-line",
-                         f"expected quoted display name, got '{tokens[1].text}'",
-                         tokens[1].column)
-        if len(tokens) > 2:
-            return error("malformed-line",
-                         f"unexpected '{tokens[2].text}' after display name",
-                         tokens[2].column)
-        return _Statement("system", lineno, name=tokens[1].text)
-
     if keyword == "check":
         if len(tokens) < 4:
             return missing("check needs an NFR id, a question number and yes/no")
@@ -182,13 +174,11 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
                 or not 1 <= int(index_tok.text) <= CHECKLIST_SIZE:
             return error("bad-checklist-index",
                          f"checklist question number must be 1..{CHECKLIST_SIZE},"
-                         f" got '{index_tok.text}'",
-                         index_tok.column)
+                         f" got '{index_tok.text}'", index_tok.column)
         if answer_tok.kind != "word" or answer_tok.text not in (YES, NO):
             return error("bad-checklist-answer",
                          f"checklist answer must be yes or no, got"
-                         f" '{answer_tok.text}'",
-                         answer_tok.column)
+                         f" '{answer_tok.text}'", answer_tok.column)
         if len(tokens) > 4:
             return error("malformed-line",
                          f"unexpected '{tokens[4].text}' after answer",
@@ -196,65 +186,59 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
         return _Statement("check", lineno, id=ident.text,
                           index=int(index_tok.text), answer=answer_tok.text)
 
-    # stakeholder / goal / subgoal / nfr
-    if len(tokens) < 2:
-        return missing(f"{keyword} needs an identifier")
-    ident = tokens[1]
-    if ident.kind != "word":
-        return error("malformed-line",
-                     f"expected identifier, got '{ident.text}'", ident.column)
-    if not _ID_RE.match(ident.text):
-        return error("bad-identifier", f"bad identifier '{ident.text}'",
-                     ident.column)
-    if len(tokens) < 3:
-        return missing(f"{keyword} needs a quoted display name")
-    if tokens[2].kind != "string":
-        return error("malformed-line",
-                     f"expected quoted display name, got '{tokens[2].text}'",
-                     tokens[2].column)
-    name = tokens[2].text
-
-    if keyword == "stakeholder":
-        if len(tokens) > 3:
+    ident, rest = "", tokens[1:]
+    if keyword != "system":
+        if not rest:
+            return missing(f"{keyword} needs an identifier")
+        token, *rest = rest
+        if token.kind != "word":
             return error("malformed-line",
-                         f"unexpected '{tokens[3].text}' after display name",
-                         tokens[3].column)
-        return _Statement("stakeholder", lineno, id=ident.text, name=name)
-
-    connective = _CONNECTIVE[keyword]
-    if len(tokens) < 4:
-        return missing(f"{keyword} needs '{connective}' and at least one id")
-    if tokens[3].kind != "word" or tokens[3].text != connective:
+                         f"expected identifier, got '{token.text}'", token.column)
+        if not _ID_RE.match(token.text):
+            return error("bad-identifier", f"bad identifier '{token.text}'",
+                         token.column)
+        ident = token.text
+    if not rest:
+        return missing(f"{keyword} needs a quoted display name")
+    token, *rest = rest
+    if token.kind != "string":
         return error("malformed-line",
-                     f"expected '{connective}', got '{tokens[3].text}'",
-                     tokens[3].column)
+                     f"expected quoted display name, got '{token.text}'",
+                     token.column)
+    name = token.text
+    connective = _CONNECTIVE.get(keyword)
+    if connective is None:
+        if rest:
+            return error("malformed-line",
+                         f"unexpected '{rest[0].text}' after display name",
+                         rest[0].column)
+        return _Statement(keyword, lineno, ident, name)
+    if not rest:
+        return missing(f"{keyword} needs '{connective}' and at least one id")
+    if rest[0].kind != "word" or rest[0].text != connective:
+        return error("malformed-line",
+                     f"expected '{connective}', got '{rest[0].text}'",
+                     rest[0].column)
 
-    refs: list[str] = []
-    expect_id = True
-    for token in tokens[4:]:
-        if expect_id:
-            if token.kind == "comma":
-                return error("malformed-line", "expected an id, got ','",
-                             token.column)
-            if token.kind != "word":
-                return error("malformed-line",
-                             f"expected an id, got '{token.text}'", token.column)
-            if not _ID_RE.match(token.text):
-                return error("bad-identifier",
-                             f"bad identifier '{token.text}'", token.column)
-            refs.append(token.text)
-            expect_id = False
-        else:
+    # Ids at even positions, commas at odd ones.
+    refs = rest[1:]
+    for position, token in enumerate(refs):
+        if position % 2:
             if token.kind != "comma":
                 return error("malformed-line",
                              f"expected ',' between ids, got '{token.text}'",
                              token.column)
-            expect_id = True
-    if expect_id:
+        elif token.kind != "word":
+            return error("malformed-line",
+                         f"expected an id, got '{token.text}'", token.column)
+        elif not _ID_RE.match(token.text):
+            return error("bad-identifier",
+                         f"bad identifier '{token.text}'", token.column)
+    if len(refs) % 2 == 0:
         return missing(f"{keyword} needs at least one id after '{connective}'"
                        if not refs else "trailing ',' without an id")
-    return _Statement(keyword, lineno, id=ident.text, name=name,
-                      refs=tuple(refs))
+    return _Statement(keyword, lineno, ident, name,
+                      tuple(token.text for token in refs[::2]))
 
 
 def parse(source: str | bytes) -> Model | list[ParseError]:
