@@ -54,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse drops failed writes; help into a closed stdout must
+        # exit 141 like any other output.
+        if message and file is not None:
+            file.write(message)
+            file.flush()
+
 
 def _parse_mode(text: str) -> ThresholdMode:
     if text == "mean":
@@ -201,13 +208,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
     if sys.stdout is None:
         # fd 1 was closed at launch: act as a pipe whose reader is gone.
         read_end, write_end = os.pipe()
         os.close(read_end)
         sys.stdout = open(write_end, "w", encoding="utf-8")
     try:
+        args = build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()
     except (EmptyModelError, EmptyMatrixError) as exc:

@@ -4,6 +4,10 @@ The model generator builds structurally clean models by construction,
 the matrix oracle recomputes marks by direct scanning, and the CLI
 runner drives the real entry point in-process.  None of them reuse the
 library's own derivation logic, so they can serve as oracles for it.
+
+The grammar fuzzer derives well-formed statements from the grammar token
+by token and then mutates them token by token, in the style of Zeller et
+al., *The Fuzzing Book*, chapters "Grammars" and "Grammar Fuzzing".
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import string
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from nfr4 import cli
+from nfr4 import cli, dsl
 from nfr4.model import (
     ANSWERS,
     CHECKLIST_SIZE,
@@ -103,6 +107,66 @@ def random_model(rng, for_serialization: bool = False) -> Model:
               for sid, parents in sub_rows),
         tuple(nfrs),
     )
+
+
+_FUZZ_IDS = ("a", "n", "g1", "sg_2", "x9")
+_FUZZ_NAMES = ("", "N", "a, b", "x # y", "tab\there", "٣ ²")
+_FUZZ_NOISE = ("²", "٣", '"', ",", "#", "\t", "\r", "\ufeff", " ", "",
+               "0", "08", "9", "00", "yes", "no", "maybe", "for", "of", "on",
+               "A", "check", "goal", "system", '"x"', '"a # b"', "#c", "é")
+
+
+def _grammar_statement(rng, keywords):
+    """A well-formed statement as a list of tokens."""
+    keyword = rng.choice(keywords)
+    ident = rng.choice(_FUZZ_IDS)
+    name = '"' + rng.choice(_FUZZ_NAMES) + '"'
+    if keyword == "system":
+        return [keyword, name]
+    if keyword == "stakeholder":
+        return [keyword, ident, name]
+    if keyword == "check":
+        return [keyword, ident, rng.choice(("1", "8", "08", "003")),
+                rng.choice(("yes", "no"))]
+    refs = [rng.choice(_FUZZ_IDS)]
+    for _ in range(rng.randrange(3)):
+        refs += [",", rng.choice(_FUZZ_IDS)]
+    return [keyword, ident, name, dsl._CONNECTIVE[keyword], *refs]
+
+
+def mutate(rng, tokens):
+    """Replace, insert, drop or corrupt up to three tokens."""
+    tokens = list(tokens)
+    for _ in range(rng.randrange(4)):
+        position = rng.randrange(len(tokens) + 1)
+        noise = rng.choice(_FUZZ_NOISE)
+        operation = rng.randrange(4)
+        if operation == 0 or position == len(tokens):
+            tokens.insert(position, noise)
+        elif operation == 1:
+            tokens[position] = noise
+        elif operation == 2:
+            del tokens[position]
+        else:
+            token = tokens[position]
+            cut = rng.randrange(len(token) + 1)
+            tokens[position] = token[:cut] + noise + token[cut:]
+    return tokens
+
+
+def fuzz_line(rng, mutation_rate=0.7, keywords=dsl._KEYWORDS):
+    """One statement line, mutated with probability ``mutation_rate``."""
+    tokens = _grammar_statement(rng, keywords)
+    mutated = rng.random() < mutation_rate
+    if mutated:
+        tokens = mutate(rng, tokens)
+    # Words need a space or tab between them; other tokens may touch.  A
+    # mutated line may also run words together or end in a stray CR.
+    gaps = (" ", " ", "\t", "  \t", "") if mutated else (" ", "\t", "  \t")
+    line = rng.choice(("", "", " ", "\t "))
+    for token in tokens:
+        line += token + rng.choice(gaps)
+    return line + rng.choice(("", "", "# note", " #", "\r" if mutated else ""))
 
 
 def brute_force_marks(model: Model) -> tuple[tuple[bool, ...], ...]:

@@ -1,6 +1,8 @@
 """Command behavior, exit codes and stream discipline of the CLI."""
 
+import functools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,12 +11,13 @@ from pathlib import Path
 import pytest
 
 import nfr4
-
+from nfr4 import cli
 from nfr4.analysis import (
     ThresholdMode,
     build_traceability_matrix,
     rank_criticality,
 )
+from nfr4.dsl import parse, serialize
 from nfr4.fixtures import ATM_PATH, LIBRARY_PATH
 from nfr4.model import validate_structure
 from nfr4.report import (
@@ -24,7 +27,7 @@ from nfr4.report import (
     render_summary,
 )
 
-from support import run_cli
+from support import fuzz_line, mutate, random_model, run_cli
 
 LIBRARY = str(LIBRARY_PATH)
 ATM = str(ATM_PATH)
@@ -392,6 +395,52 @@ def test_analysis_commands_validate_once(monkeypatch, argv):
     assert len(calls) == 1
 
 
+# ---------------------------------------------------------- pipeline fuzz
+
+PIPELINE_COMMANDS = (
+    ["check"], ["check", "--strict"], ["metrics"], ["matrix"], ["critical"],
+    ["report"], ["report", "--format", "markdown"],
+    ["report", "--format", "json"],
+)
+
+
+def _mutated_model_text(rng):
+    """A random model's text with up to three lines broken by the fuzzer."""
+    lines = serialize(random_model(rng, for_serialization=True)).splitlines()
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        position = rng.randrange(len(lines))
+        lines[position] = rng.choice((
+            " ".join(mutate(rng, lines[position].split(" "))),
+            fuzz_line(rng)))
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_files_through_every_command(tmp_path, monkeypatch):
+    # Building the argparse parser is most of an in-process run; one
+    # parser serves every run here.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    rng = random.Random(808)
+    codes = set()
+    for number in range(200):
+        text = _mutated_model_text(rng)
+        path = tmp_path / f"fuzz{number}.nfr4"
+        path.write_bytes(text.encode())
+        parsed = parse(text)
+        for command in PIPELINE_COMMANDS:
+            code, out, err = result = run_cli([*command, str(path)])
+            assert run_cli([*command, str(path)]) == result, text
+            assert code in (0, 1, 2, 3), (command, text)
+            assert "Traceback" not in out + err
+            if isinstance(parsed, list):
+                assert code == (1 if command[0] == "check" else 2)
+                assert (out, err) == ("", "".join(
+                    f"{path}:{e.line}:{e.column}: {e.kind}: {e.message}\n"
+                    for e in parsed))
+            codes.add(code)
+    # Every outcome must occur, or the check proves little.
+    assert codes == {0, 1, 2, 3}
+
+
 # ------------------------------------------------------- installed script
 
 NFR4_BIN = shutil.which("nfr4")
@@ -405,11 +454,15 @@ LAUNCHERS = [
 ]
 
 
-def launch(launcher, argv, **kwargs):
-    """Run the CLI in a child; stdout and stderr are captured unless given."""
-    env = dict(os.environ)
+def launch(launcher, argv, env=(), **kwargs):
+    """Run the CLI in a child; stdout and stderr are captured unless given.
+
+    ``env`` entries override the caller's environment; None unsets one.
+    """
+    env = {**os.environ, **dict(env)}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    env = {name: value for name, value in env.items() if value is not None}
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([*launcher, *argv], env=env, timeout=30, **kwargs)
@@ -438,23 +491,28 @@ def test_installed_script_usage_error(launcher):
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_closed_stdout_exits_141_quietly(launcher):
-    # As in `nfr4 report big.nfr4 | head`, but the reader is gone before
-    # the report is written, so every run hits the closed pipe.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = launch(launcher, ["report", LIBRARY], stdout=write_end)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 141
-    assert b"Traceback" not in proc.stderr
-    assert b"Exception ignored" not in proc.stderr
-    assert proc.stderr == b""
-    # fd 1 closed at launch (`>&-`) is a reader gone before the start;
-    # check writes nothing to stdout, so it keeps its own exit code.
-    for argv, code in ((["metrics", LIBRARY], 141),
-                       (["report", "--format", "json", LIBRARY], 141),
-                       (["check", LIBRARY], 0)):
-        proc = launch(launcher, argv, stdout=subprocess.DEVNULL,
-                      preexec_fn=lambda: os.close(1))
-        assert (proc.returncode, proc.stderr) == (code, b""), argv
+    # Buffered stdout fails at the flush, unbuffered stdout at the write;
+    # both must end the same way.
+    for buffering in ({"PYTHONUNBUFFERED": None},
+                      {"PYTHONUNBUFFERED": "1"}):
+        # As in `nfr4 report big.nfr4 | head`, but the reader is gone
+        # before the output is written, so every run hits the closed pipe.
+        for argv in (["report", LIBRARY], ["--help"], ["report", "--help"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = launch(launcher, argv, buffering, stdout=write_end)
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (141, b""), \
+                (argv, buffering)
+        # fd 1 closed at launch (`>&-`) is a reader gone before the start;
+        # check writes nothing to stdout, so it keeps its own exit code.
+        for argv, code in ((["metrics", LIBRARY], 141),
+                           (["report", "--format", "json", LIBRARY], 141),
+                           (["check", LIBRARY], 0)):
+            proc = launch(launcher, argv, buffering,
+                          stdout=subprocess.DEVNULL,
+                          preexec_fn=lambda: os.close(1))
+            assert (proc.returncode, proc.stderr) == (code, b""), \
+                (argv, buffering)

@@ -19,7 +19,7 @@ from nfr4.model import (
     validate_structure,
 )
 
-from support import random_model
+from support import fuzz_line, random_model
 
 CANONICAL = """\
 system "Tiny"
@@ -522,67 +522,8 @@ def test_parse_survives_mutated_fixture(library_text):
 # --------------------------------------------------------- grammar fuzz
 #
 # Valid statements are derived from the grammar token by token and then
-# mutated token by token, in the style of Zeller et al., *The Fuzzing
-# Book*, chapters "Grammars" and "Grammar Fuzzing".  The token walker
+# mutated token by token (``support.fuzz_line``).  The token walker
 # ``_parse_line`` is the reference for the statement regex.
-
-_FUZZ_IDS = ("a", "n", "g1", "sg_2", "x9")
-_FUZZ_NAMES = ("", "N", "a, b", "x # y", "tab\there", "٣ ²")
-_FUZZ_NOISE = ("²", "٣", '"', ",", "#", "\t", "\r", "\ufeff", " ", "",
-               "0", "08", "9", "00", "yes", "no", "maybe", "for", "of", "on",
-               "A", "check", "goal", "system", '"x"', '"a # b"', "#c", "é")
-
-
-def _grammar_statement(rng, keywords):
-    """A well-formed statement as a list of tokens."""
-    keyword = rng.choice(keywords)
-    ident = rng.choice(_FUZZ_IDS)
-    name = '"' + rng.choice(_FUZZ_NAMES) + '"'
-    if keyword == "system":
-        return [keyword, name]
-    if keyword == "stakeholder":
-        return [keyword, ident, name]
-    if keyword == "check":
-        return [keyword, ident, rng.choice(("1", "8", "08", "003")),
-                rng.choice(("yes", "no"))]
-    refs = [rng.choice(_FUZZ_IDS)]
-    for _ in range(rng.randrange(3)):
-        refs += [",", rng.choice(_FUZZ_IDS)]
-    return [keyword, ident, name, dsl._CONNECTIVE[keyword], *refs]
-
-
-def _mutate(rng, tokens):
-    """Replace, insert, drop or corrupt up to three tokens."""
-    tokens = list(tokens)
-    for _ in range(rng.randrange(4)):
-        position = rng.randrange(len(tokens) + 1)
-        noise = rng.choice(_FUZZ_NOISE)
-        operation = rng.randrange(4)
-        if operation == 0 or position == len(tokens):
-            tokens.insert(position, noise)
-        elif operation == 1:
-            tokens[position] = noise
-        elif operation == 2:
-            del tokens[position]
-        else:
-            token = tokens[position]
-            cut = rng.randrange(len(token) + 1)
-            tokens[position] = token[:cut] + noise + token[cut:]
-    return tokens
-
-
-def _fuzz_line(rng, mutation_rate=0.7, keywords=dsl._KEYWORDS):
-    tokens = _grammar_statement(rng, keywords)
-    mutated = rng.random() < mutation_rate
-    if mutated:
-        tokens = _mutate(rng, tokens)
-    # Words need a space or tab between them; other tokens may touch.  A
-    # mutated line may also run words together or end in a stray CR.
-    gaps = (" ", " ", "\t", "  \t", "") if mutated else (" ", "\t", "  \t")
-    line = rng.choice(("", "", " ", "\t "))
-    for token in tokens:
-        line += token + rng.choice(gaps)
-    return line + rng.choice(("", "", "# note", " #", "\r" if mutated else ""))
 
 
 def _located(result):
@@ -629,7 +570,7 @@ def test_statement_regexes_agree_with_token_walker():
     rng = random.Random(303)
     accepted = 0
     for _ in range(6000):
-        line = _fuzz_line(rng)
+        line = fuzz_line(rng)
         reference = dsl._parse_line(line, 7)
         fast = dsl._match_statement(line, 7)
         if isinstance(reference, dsl._Statement):
@@ -647,7 +588,7 @@ def test_fuzzed_files_parse_the_same_through_the_token_walker(monkeypatch):
     files = []
     for _ in range(400):
         # Mostly intact element lines, so that many files are models.
-        lines = [_fuzz_line(rng, 0.1, dsl._KEYWORDS[1:])
+        lines = [fuzz_line(rng, 0.1, dsl._KEYWORDS[1:])
                  for _ in range(rng.randrange(1, 12))]
         position = rng.choice((0, 0, 0, rng.randrange(len(lines) + 1), None))
         if position is not None:
