@@ -54,12 +54,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-    def _print_message(self, message, file=None):
-        # argparse drops failed writes; help into a closed stdout must
+    def print_help(self, file=None):
+        # argparse drops a failed write; help into a closed stdout must
         # exit 141 like any other output.
-        if message and file is not None:
-            file.write(message)
-            file.flush()
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
 
 
 def _parse_mode(text: str) -> ThresholdMode:

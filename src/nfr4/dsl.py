@@ -24,10 +24,9 @@ from ``validate_structure``.
 A well-formed line is read with one match of the statement regex.  Every
 other line goes to the token walker, which finds its error (or that it
 is blank); the walker is the only source of parse errors and the
-reference the statement regex is tested against.  ``check`` has its own
-path in the walker.  Every other line takes one path: keyword, id (none
-for ``system``), quoted name, then either the end of the line or the
-keyword's connective and ids, with a comma between each two ids.
+reference the statement regex is tested against.  In the walker ``check``
+has its own path; every other keyword reads an id (none for ``system``), a
+quoted name and, for ``goal``/``subgoal``/``nfr``, its connective and ids.
 """
 
 from __future__ import annotations
@@ -133,10 +132,9 @@ def _match_statement(text: str, lineno: int) -> _Statement | None:
 def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
     """Parse one line; None for blank/comment-only lines.
 
-    ``check`` has its own path; the other five keywords share the one
-    path that the module docstring describes.  At most one error is
-    reported per line (the first problem found), so fixing a line removes
-    exactly its error.
+    ``check`` has its own path; the other keywords share the one the
+    module docstring describes.  At most one error is reported per line
+    (the first problem found), so fixing a line removes exactly its error.
     """
     def error(kind: str, message: str, column: int) -> ParseError:
         return ParseError(kind, lineno, column, message)
@@ -174,11 +172,13 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
                 or not 1 <= int(index_tok.text) <= CHECKLIST_SIZE:
             return error("bad-checklist-index",
                          f"checklist question number must be 1..{CHECKLIST_SIZE},"
-                         f" got '{index_tok.text}'", index_tok.column)
+                         f" got '{index_tok.text}'",
+                         index_tok.column)
         if answer_tok.kind != "word" or answer_tok.text not in (YES, NO):
             return error("bad-checklist-answer",
                          f"checklist answer must be yes or no, got"
-                         f" '{answer_tok.text}'", answer_tok.column)
+                         f" '{answer_tok.text}'",
+                         answer_tok.column)
         if len(tokens) > 4:
             return error("malformed-line",
                          f"unexpected '{tokens[4].text}' after answer",

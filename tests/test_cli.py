@@ -454,12 +454,12 @@ LAUNCHERS = [
 ]
 
 
-def launch(launcher, argv, env=(), **kwargs):
+def launch(launcher, argv, env=None, **kwargs):
     """Run the CLI in a child; stdout and stderr are captured unless given.
 
     ``env`` entries override the caller's environment; None unsets one.
     """
-    env = {**os.environ, **dict(env)}
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     env = {name: value for name, value in env.items() if value is not None}
@@ -486,6 +486,14 @@ def test_installed_script_check_stdin(launcher, library_text):
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_installed_script_usage_error(launcher):
     proc = launch(launcher, ["definitely-not-a-command"])
+    assert proc.returncode == 64
+    # Exit 141 is for a closed stdout; a closed stderr keeps the code.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = launch(launcher, ["definitely-not-a-command"], stderr=write_end)
+    finally:
+        os.close(write_end)
     assert proc.returncode == 64
 
 
