@@ -455,6 +455,16 @@ def test_atm_serialization_contains_goal_level_attachment(atm_model):
     (dict(nfrs=(Nfr("n", "A", (), ("g",)),
                 Nfr("n", "B", (), ("g",), ChecklistRecord(("yes",) * 8)))),
      "declared again"),
+    # Dangling references; the wording is the whole message.
+    (dict(subgoals=(SubGoal("sg", "SG", ("ghost",)),)),
+     "sub-goal 'sg' references unknown goal 'ghost'"),
+    (dict(nfrs=(Nfr("n", "N", ("ghost",)),)),
+     "NFR 'n' references unknown sub-goal 'ghost'"),
+    # A target filed in the wrong layer would parse back into the other.
+    (dict(nfrs=(Nfr("n", "N", (), ("sg",)),)),
+     "NFR 'n' references unknown goal 'sg'"),
+    (dict(nfrs=(Nfr("n", "N", ("g",)),)),
+     "NFR 'n' references unknown sub-goal 'g'"),
 ])
 def test_serialize_refuses_inexpressible_models(broken, wording):
     parts = dict(
@@ -467,7 +477,8 @@ def test_serialize_refuses_inexpressible_models(broken, wording):
     parts.update(broken)
     with pytest.raises(SerializeError) as caught:
         serialize(Model(**parts))
-    assert wording in str(caught.value)
+    message = str(caught.value)
+    assert message == wording if wording.endswith("'") else wording in message
 
 
 def test_seeded_round_trip_loop():

@@ -157,6 +157,27 @@ def test_unresolved_check_is_ref():
     assert findings(model) == [("REF", "error", "typo")]
 
 
+@pytest.mark.parametrize("broken, finding", [
+    (dict(goals=(Goal("g", "G", ("s", "ghost"), 3),)),
+     ("REF", "error", "g", 3,
+      "goal 'g' references unknown stakeholder 'ghost'")),
+    (dict(subgoals=(SubGoal("sg", "SG", ("g", "ghost"), 4),)),
+     ("REF", "error", "sg", 4,
+      "sub-goal 'sg' references unknown goal 'ghost'")),
+    (dict(nfrs=(Nfr("n", "N", (), ("g", "ghost"), line=5),)),
+     ("REF", "error", "n", 5, "NFR 'n' references unknown goal 'ghost'")),
+    (dict(nfrs=(Nfr("n", "N", ("sg", "ghost"), ("g",), line=5),)),
+     ("REF", "error", "n", 5, "NFR 'n' references unknown sub-goal 'ghost'")),
+    (dict(unresolved_checks=(UnresolvedCheck("typo", 1, "yes", 6),)),
+     ("REF", "error", "typo", 6,
+      "checklist answer references unknown NFR 'typo'")),
+], ids=["goal-owner", "subgoal-parent", "nfr-goal", "nfr-subgoal", "check"])
+def test_ref_message_golden(broken, finding):
+    # One case per REF template; serialize raises these messages too.
+    assert [(d.rule_id, d.severity, d.subject_id, d.source_line, d.message)
+            for d in validate_structure(tiny_model(**broken))] == [finding]
+
+
 def test_duplicate_id_within_layer_is_dup():
     model = tiny_model(stakeholders=(Stakeholder("s", "First"),
                                      Stakeholder("s", "Second")))
