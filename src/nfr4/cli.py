@@ -5,7 +5,8 @@ to stdout; diagnostics and errors go to stderr.  Exit codes: 0 success
 (warnings pass unless --strict), 1 check failed, 2 model invalid for
 analysis, 3 analysis precondition violated (e.g. no NFRs), 64 bad usage,
 141 stdout closed before the output was written (128 + SIGPIPE, as for
-``nfr4 report big.nfr4 | head``).
+``nfr4 report big.nfr4 | head``) or stderr closed before a diagnostic
+was written.  A usage error exits 64 whether or not stderr is open.
 """
 
 from __future__ import annotations
@@ -51,13 +52,27 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for bad models."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        # argparse drops a failed write and leaves the text buffered, so
+        # the flush at exit fails again; write and flush it here.
+        try:
+            print(f"{self.format_usage()}{self.prog}: error: {message}",
+                  file=sys.stderr, flush=True)
+        except BrokenPipeError:
+            _discard(sys.stderr)
+        sys.exit(EXIT_USAGE)
 
     def print_help(self, file=None):
         # argparse drops a failed write; help into a closed stdout must
         # exit 141 like any other output.
         print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
+def _discard(*streams) -> None:
+    # Point the streams at devnull: the flush at exit must not fail again.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    for stream in streams:
+        os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _parse_mode(text: str) -> ThresholdMode:
@@ -206,11 +221,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> None:
-    if sys.stdout is None:
-        # fd 1 was closed at launch: act as a pipe whose reader is gone.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        sys.stdout = open(write_end, "w", encoding="utf-8")
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            # The fd was closed at launch: act as a pipe whose reader is
+            # gone.  Line buffered, so that stderr fails at the write.
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            setattr(sys, name,
+                    open(write_end, "w", buffering=1, encoding="utf-8"))
     try:
         args = build_parser().parse_args(argv)
         code = args.handler(args)
@@ -219,11 +237,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PRECONDITION
     except BrokenPipeError:
-        # The reader is gone.  Point fd 1 at devnull so that the flush at
-        # interpreter exit does not fail again and print a traceback.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The reader of stdout or of stderr is gone.
+        _discard(sys.stdout, sys.stderr)
         code = EXIT_BROKEN_PIPE
     sys.exit(code)
 

@@ -48,6 +48,7 @@ from .model import (
     UNANSWERED,
     UnresolvedCheck,
     YES,
+    validate_structure,
 )
 
 _ID = r"[a-z][a-z0-9_]*"
@@ -347,20 +348,27 @@ def serialize(model: Model) -> str:
     NFRs, checks), each group in declaration order; NFR targets list
     goal attachments before sub-goal attachments; unanswered checklist
     slots are omitted.  Refuses models the grammar cannot express:
-    dangling or unapplied references, empty edge lists, invalid
-    identifiers or display names, ids shared between the goal and
-    sub-goal layers (the ``on`` list could not tell them apart), and
-    checklist answers on an NFR whose id an earlier NFR already has
-    (``parse`` gives every ``check`` line to the first NFR with its id).
+    unresolved checklist answers, any model with a REF diagnostic from
+    ``validate_structure`` (raising that diagnostic's message; an NFR
+    target filed in the wrong layer counts, since ``parse`` would file
+    it in the other), empty edge lists, invalid identifiers or display
+    names, ids shared between the goal and sub-goal layers (the ``on``
+    list could not tell them apart), and checklist answers on an NFR
+    whose id an earlier NFR already has (``parse`` gives every ``check``
+    line to the first NFR with its id).  A model with several of these
+    problems is refused for one of them.
     """
     if '"' in model.system_name or "\n" in model.system_name:
         raise SerializeError("system display name contains a quote or newline")
-
-    stakeholder_ids = {s.id for s in model.stakeholders}
     goal_ids = {g.id for g in model.goals}
-    subgoal_ids = {s.id for s in model.subgoals}
-    for shared in sorted(goal_ids & subgoal_ids):
+    for shared in sorted(goal_ids.intersection(s.id for s in model.subgoals)):
         raise SerializeError(f"id '{shared}' names both a goal and a sub-goal")
+    for check in model.unresolved_checks:
+        raise SerializeError(
+            f"unresolved checklist answer for '{check.nfr_id}'")
+    for diagnostic in validate_structure(model):
+        if diagnostic.rule_id == "REF":
+            raise SerializeError(diagnostic.message)
 
     lines = [f'system "{model.system_name}"']
     for stakeholder in model.stakeholders:
@@ -370,19 +378,11 @@ def serialize(model: Model) -> str:
         _check_name("goal", goal.id, goal.name)
         if not goal.owners:
             raise SerializeError(f"goal '{goal.id}' has no owners")
-        for owner in goal.owners:
-            if owner not in stakeholder_ids:
-                raise SerializeError(
-                    f"goal '{goal.id}' references unknown stakeholder '{owner}'")
         lines.append(f'goal {goal.id} "{goal.name}" for {", ".join(goal.owners)}')
     for subgoal in model.subgoals:
         _check_name("sub-goal", subgoal.id, subgoal.name)
         if not subgoal.parents:
             raise SerializeError(f"sub-goal '{subgoal.id}' has no parents")
-        for parent in subgoal.parents:
-            if parent not in goal_ids:
-                raise SerializeError(
-                    f"sub-goal '{subgoal.id}' references unknown goal '{parent}'")
         lines.append(f'subgoal {subgoal.id} "{subgoal.name}"'
                      f' of {", ".join(subgoal.parents)}')
     nfr_ids: set[str] = set()
@@ -395,18 +395,7 @@ def serialize(model: Model) -> str:
         targets = list(nfr.attached_goals) + list(nfr.attached_subgoals)
         if not targets:
             raise SerializeError(f"NFR '{nfr.id}' has no attachments")
-        for target in nfr.attached_goals:
-            if target not in goal_ids:
-                raise SerializeError(
-                    f"NFR '{nfr.id}' references unknown goal '{target}'")
-        for target in nfr.attached_subgoals:
-            if target not in subgoal_ids:
-                raise SerializeError(
-                    f"NFR '{nfr.id}' references unknown sub-goal '{target}'")
         lines.append(f'nfr {nfr.id} "{nfr.name}" on {", ".join(targets)}')
-    for check in model.unresolved_checks:
-        raise SerializeError(
-            f"unresolved checklist answer for '{check.nfr_id}'")
     for nfr in model.nfrs:
         for index, answer in enumerate(nfr.checklist.answers, start=1):
             if answer in (YES, NO):

@@ -188,6 +188,12 @@ def validate_structure(model: Model) -> list[Diagnostic]:
                 element.line)
         seen.add(element.id)
 
+    def add_refs(kind, element, targets, known, layer) -> None:
+        for target in targets:
+            if target not in known:
+                add("REF", f"{kind} '{element.id}' references unknown"
+                    f" {layer} '{target}'", element.id, element.line)
+
     if not model.stakeholders:
         add("R1", "model declares no stakeholders", "", None)
 
@@ -202,11 +208,7 @@ def validate_structure(model: Model) -> list[Diagnostic]:
             add("R2", f"goal '{goal.id}' has no owners", goal.id, goal.line)
         if goal.id not in parented:
             add("R3", f"goal '{goal.id}' has no sub-goals", goal.id, goal.line)
-        for owner in goal.owners:
-            if owner not in stakeholder_ids:
-                add("REF",
-                    f"goal '{goal.id}' references unknown stakeholder '{owner}'",
-                    goal.id, goal.line)
+        add_refs("goal", goal, goal.owners, stakeholder_ids, "stakeholder")
         add_dup(goal)
 
     for subgoal in model.subgoals:
@@ -219,26 +221,15 @@ def validate_structure(model: Model) -> list[Diagnostic]:
         if not covered:
             add("R4", f"sub-goal '{subgoal.id}' is not covered by any NFR",
                 subgoal.id, subgoal.line)
-        for parent in subgoal.parents:
-            if parent not in goal_ids:
-                add("REF",
-                    f"sub-goal '{subgoal.id}' references unknown goal '{parent}'",
-                    subgoal.id, subgoal.line)
+        add_refs("sub-goal", subgoal, subgoal.parents, goal_ids, "goal")
         add_dup(subgoal)
 
     for nfr in model.nfrs:
         if not nfr.attached_subgoals and not nfr.attached_goals:
             add("R4", f"NFR '{nfr.id}' is not attached to any goal or sub-goal",
                 nfr.id, nfr.line)
-        for target in nfr.attached_goals:
-            if target not in goal_ids:
-                add("REF", f"NFR '{nfr.id}' references unknown goal '{target}'",
-                    nfr.id, nfr.line)
-        for target in nfr.attached_subgoals:
-            if target not in subgoal_ids:
-                add("REF",
-                    f"NFR '{nfr.id}' references unknown sub-goal '{target}'",
-                    nfr.id, nfr.line)
+        add_refs("NFR", nfr, nfr.attached_goals, goal_ids, "goal")
+        add_refs("NFR", nfr, nfr.attached_subgoals, subgoal_ids, "sub-goal")
         add_dup(nfr)
 
     for check in model.unresolved_checks:

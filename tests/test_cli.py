@@ -489,12 +489,41 @@ def test_installed_script_usage_error(launcher):
     assert proc.returncode == 64
 
 
+BUFFERING_MODES = ({"PYTHONUNBUFFERED": None}, {"PYTHONUNBUFFERED": "1"})
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_closed_stderr_exit_codes(launcher, model_file):
+    # A usage error keeps 64; a diagnostic that cannot be written is a
+    # reader gone, 141.  Buffered stderr fails at the flush at exit,
+    # unbuffered stderr at the write; both must end the same way.
+    warnings = model_file(WARNING_TEXT)
+    for buffering in BUFFERING_MODES:
+        for argv, code in ((["definitely-not-a-command"], 64),
+                           (["check", warnings], 141),
+                           (["report", warnings], 141),
+                           (["check", LIBRARY], 0)):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = launch(launcher, argv, buffering, stderr=write_end)
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stdout) == (code, b""), \
+                (argv, buffering)
+            # fd 2 closed at launch (`2>&-`) is a reader gone before the
+            # start; nothing meant for stderr may reach stdout.
+            proc = launch(launcher, argv, buffering,
+                          preexec_fn=lambda: os.close(2))
+            assert (proc.returncode, proc.stdout) == (code, b""), \
+                (argv, buffering)
+
+
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_closed_stdout_exits_141_quietly(launcher):
     # Buffered stdout fails at the flush, unbuffered stdout at the write;
     # both must end the same way.
-    for buffering in ({"PYTHONUNBUFFERED": None},
-                      {"PYTHONUNBUFFERED": "1"}):
+    for buffering in BUFFERING_MODES:
         # As in `nfr4 report big.nfr4 | head`, but the reader is gone
         # before the output is written, so every run hits the closed pipe.
         for argv in (["report", LIBRARY], ["--help"], ["report", "--help"]):
