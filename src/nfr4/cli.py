@@ -1,18 +1,22 @@
 """Command line front end.
 
 Commands: check, metrics, matrix, critical, report.  Human output goes
-to stdout; diagnostics and errors go to stderr.  Exit codes: 0 success
-(warnings pass unless --strict), 1 check failed, 2 model invalid for
-analysis, 3 analysis precondition violated (e.g. no NFRs), 64 bad usage,
-141 stdout closed before the output was written (128 + SIGPIPE, as for
-``nfr4 report big.nfr4 | head``) or stderr closed before a diagnostic
-was written.  A usage error exits 64 whether or not stderr is open.
+to stdout, in UTF-8 whatever the locale; diagnostics and errors go to
+stderr.  ``matrix`` and ``report`` write their output line by line as
+it is rendered, so a reader that leaves early has received part of it.
+Exit codes: 0 success (warnings pass unless --strict), 1 check failed,
+2 model invalid for analysis, 3 analysis precondition violated (e.g. no
+NFRs), 64 bad usage, 141 stdout closed before all the output was
+written (128 + SIGPIPE, as for ``nfr4 report big.nfr4 | head``) or
+stderr closed before a diagnostic was written.  A usage error exits 64
+whether or not stderr is open.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import sys
 from collections.abc import Callable
@@ -32,10 +36,10 @@ from .dsl import ParseError, parse
 from .model import Diagnostic, Model, validate_structure
 from .report import (
     build_bundle,
-    export_json,
+    iter_json,
+    iter_matrix_table,
+    iter_summary,
     mcr_line,
-    render_matrix_table,
-    render_summary,
     threshold_line,
     validation_line,
 )
@@ -200,8 +204,8 @@ def _cmd_ranking(args: argparse.Namespace) -> int:
     matrix = build_traceability_matrix(model, diagnostics=diagnostics)
     criticality = rank_criticality(matrix, args.mode)
     if args.command == "matrix":
-        print(render_matrix_table(matrix, criticality, legend=args.legend),
-              end="")
+        sys.stdout.writelines(
+            iter_matrix_table(matrix, criticality, legend=args.legend))
         return EXIT_OK
     for nfr_id, score in zip(criticality.nfr_ids, criticality.scores):
         print(f"{nfr_id}: {score}")
@@ -214,9 +218,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     model, diagnostics = _load_gated(args.input, EXIT_INVALID_MODEL)
     bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
     if args.format == "json":
-        print(export_json(bundle))
+        sys.stdout.writelines(iter_json(bundle))
+        print()
     else:
-        print(render_summary(bundle, args.format), end="")
+        sys.stdout.writelines(iter_summary(bundle, args.format))
     return EXIT_OK
 
 
@@ -229,6 +234,12 @@ def main(argv: list[str] | None = None) -> None:
             os.close(read_end)
             setattr(sys, name,
                     open(write_end, "w", buffering=1, encoding="utf-8"))
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # Input is always read as UTF-8, so output is written as UTF-8
+        # whatever the locale or PYTHONIOENCODING says.  It is written
+        # in blocks even under PYTHONUNBUFFERED: a streamed report is
+        # thousands of short lines, one write call each otherwise.
+        sys.stdout.reconfigure(encoding="utf-8", write_through=False)
     try:
         args = build_parser().parse_args(argv)
         code = args.handler(args)

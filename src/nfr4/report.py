@@ -1,15 +1,20 @@
 """Rendering: matrix tables, human summaries and JSON export.
 
 Every renderer is deterministic -- the same bundle yields byte-identical
-output -- and text output ends with exactly one trailing newline.
+output -- and text output ends with exactly one trailing newline.  Each
+renderer joins the pieces of a generator (``iter_matrix_table``,
+``iter_summary``, ``iter_json``) that yields its text one line, or one
+JSON row, at a time, so a caller can write a large report without
+holding it whole.
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring as _encode
 
 from .analysis import (
     ChecklistScore,
@@ -83,14 +88,12 @@ def build_bundle(model: Model, mode: ThresholdMode | None = None, *,
                         per_nfr, matrix, criticality)
 
 
-def render_matrix_table(matrix: TraceabilityMatrix,
-                        criticality: CriticalityReport,
-                        legend: bool = True) -> str:
-    """Fixed-width traceability table.
+def iter_matrix_table(matrix: TraceabilityMatrix,
+                      criticality: CriticalityReport,
+                      legend: bool = True) -> Iterator[str]:
+    """``render_matrix_table`` one line at a time, each with its newline.
 
-    Columns are G1..Gm in goal declaration order, marks are ``X``, and
-    each row ends with its score and a ``*`` when the NFR is critical.
-    The legend maps Gj back to goal display names.
+    An empty matrix is refused before the first line.
     """
     if not matrix.nfr_ids or not matrix.goal_ids:
         raise ValueError("cannot render an empty matrix")
@@ -101,25 +104,36 @@ def render_matrix_table(matrix: TraceabilityMatrix,
     critical_set = set(criticality.critical)
 
     def row(cells: list[str]) -> str:
-        return "  ".join(cells).rstrip()
+        return "  ".join(cells).rstrip() + "\n"
 
-    lines = [row(["NFR".ljust(name_width), *goal_headers,
-                  "score".ljust(score_width), "critical"])]
+    yield row(["NFR".ljust(name_width), *goal_headers,
+               "score".ljust(score_width), "critical"])
     blanks = [" " * len(header) for header in goal_headers]
     crosses = ["X".ljust(len(header)) for header in goal_headers]
     for i, (name, marked) in enumerate(zip(matrix.nfr_names, matrix.rows)):
         cells = blanks.copy()
         for j in marked:
             cells[j] = crosses[j]
-        lines.append(row([name.ljust(name_width), *cells,
-                          str(criticality.scores[i]).ljust(score_width),
-                          "*" if matrix.nfr_ids[i] in critical_set else ""]))
+        yield row([name.ljust(name_width), *cells,
+                   str(criticality.scores[i]).ljust(score_width),
+                   "*" if matrix.nfr_ids[i] in critical_set else ""])
 
     if legend:
-        lines.append("")
+        yield "\n"
         for j, name in enumerate(matrix.goal_names):
-            lines.append(f"G{j + 1} = {name}")
-    return "\n".join(lines) + "\n"
+            yield f"G{j + 1} = {name}\n"
+
+
+def render_matrix_table(matrix: TraceabilityMatrix,
+                        criticality: CriticalityReport,
+                        legend: bool = True) -> str:
+    """Fixed-width traceability table.
+
+    Columns are G1..Gm in goal declaration order, marks are ``X``, and
+    each row ends with its score and a ``*`` when the NFR is critical.
+    The legend maps Gj back to goal display names.
+    """
+    return "".join(iter_matrix_table(matrix, criticality, legend))
 
 
 def _diagnostic_line(diagnostic: Diagnostic) -> str:
@@ -136,24 +150,36 @@ def _critical_lines(bundle: ReportBundle) -> list[str]:
     return [threshold_line(report), *(critical or ["none"])]
 
 
-def render_summary(bundle: ReportBundle, format: str = "text") -> str:
-    """Human summary in text or markdown, same sections either way."""
+def _trimmed(first: str, rest: Iterator[str]) -> Iterator[str]:
+    """``first`` and then ``rest``, with the newlines that end the last
+    line cut to one: the summary has always embedded the table with its
+    trailing newlines stripped."""
+    for line in rest:
+        yield first
+        first = line
+    yield first.rstrip("\n") + "\n"
+
+
+def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
+    """``render_summary`` one line at a time, each with its newline.
+
+    An unknown format and an empty matrix are refused before the first
+    line.
+    """
     model = bundle.model
     if format == "text":
-        parts, heading, gap, bullet, fence = [], "", [], "  ", []
+        lead, heading, gap, bullet, fence = "", "", "", "  ", ()
     elif format == "markdown":
-        parts = [f"# {model.system_name}", ""]
-        heading, gap, bullet, fence = "## ", [""], "- ", ["```"]
+        lead = f"# {model.system_name}\n\n"
+        heading, gap, bullet, fence = "## ", "\n", "- ", ("```\n",)
     else:
         raise ValueError(f"unknown summary format: {format!r}")
 
-    def bulleted(lines: list[str]) -> list[str]:
-        return [bullet + line for line in lines]
+    def bulleted(lines: Iterable[str]) -> Iterator[str]:
+        return (f"{bullet}{line}\n" for line in lines)
 
-    table = render_matrix_table(bundle.matrix, bundle.criticality)
-    validation_lines = [validation_line(bundle.whole_model_score)]
-    validation_lines.extend(validation_line(s) for s in bundle.per_nfr_scores)
-    for title, lines in (
+    table = iter_matrix_table(bundle.matrix, bundle.criticality)
+    sections = (
         ("Model", bulleted([
             f"system: {model.system_name}",
             f"stakeholders: {len(model.stakeholders)}",
@@ -161,107 +187,110 @@ def render_summary(bundle: ReportBundle, format: str = "text") -> str:
             f"sub-goals: {len(model.subgoals)}",
             f"NFRs: {len(model.nfrs)}",
         ])),
-        ("Diagnostics", bulleted(
-            [_diagnostic_line(d) for d in bundle.diagnostics] or ["none"])),
+        ("Diagnostics", bulleted(map(_diagnostic_line, bundle.diagnostics)
+                                 if bundle.diagnostics else ["none"])),
         ("Completeness", bulleted([mcr_line(bundle.completeness)])),
-        ("Validation", bulleted(validation_lines)),
-        ("Traceability", [*fence, table.rstrip("\n"), *fence]),
+        ("Validation", bulleted(map(validation_line, chain(
+            [bundle.whole_model_score], bundle.per_nfr_scores)))),
+        # next() runs the table's checks now, before the first line.
+        ("Traceability", chain(fence, _trimmed(next(table), table), fence)),
         ("Critical NFRs", bulleted(_critical_lines(bundle))),
-    ):
-        parts.append(heading + title)
-        parts.extend(gap)
-        parts.extend(lines)
-        parts.append("")
-    return "\n".join(parts)
+    )
+    for title, lines in sections:
+        yield f"{lead}{heading}{title}\n{gap}"
+        yield from lines
+        lead = "\n"
 
 
-# How ``json.dumps(indent=2)`` ends a document whose last member is a
-# "matrix" object whose last member is an empty "marks" list.
-_EMPTY_MARKS_END = "[]\n  }\n}"
+def render_summary(bundle: ReportBundle, format: str = "text") -> str:
+    """Human summary in text or markdown, same sections either way."""
+    return "".join(iter_summary(bundle, format))
 
 
-def _json_marks(matrix: TraceabilityMatrix) -> list[str]:
-    """Pieces of the dense "marks" array, laid out as ``json.dumps``
-    with ``indent=2`` lays it out inside "matrix".
+def _json_members(members: Iterable[str], indent: str,
+                  brackets: str = "[]") -> Iterator[str]:
+    """Encoded members as one JSON array (or object, with ``brackets``
+    ``"{}"``) whose closing bracket sits at ``indent``, laid out as
+    ``json.dumps(..., indent=2)`` lays it out, one member per piece."""
+    separator = f"{brackets[0]}\n{indent}  "
+    for member in members:
+        yield separator + member
+        separator = f",\n{indent}  "
+    yield f"\n{indent}{brackets[1]}" if separator[0] == "," else brackets
 
-    Each row is a copy of one all-``false`` template with its marked
-    goal indices set to ``true``, joined in one call.
-    """
-    if not matrix.rows:
-        return ["[]"]
+
+def _json_array(strings: Iterable[str], indent: str) -> str:
+    return "".join(_json_members(map(_encode, strings), indent))
+
+
+def _json_score(score: ChecklistScore, indent: str) -> str:
+    return (f'{{\n{indent}  "yes": {score.yes_count},\n'
+            f'{indent}  "answered": {score.answered_count},\n'
+            f'{indent}  "metric": "{format_ratio(score.metric)}"\n{indent}}}')
+
+
+def _json_diagnostic(d: Diagnostic) -> str:
+    line = "null" if d.source_line is None else d.source_line
+    return (f'{{\n      "rule": {_encode(d.rule_id)},\n'
+            f'      "severity": {_encode(d.severity)},\n'
+            f'      "message": {_encode(d.message)},\n'
+            f'      "subject": {_encode(d.subject_id)},\n'
+            f'      "line": {line}\n    }}')
+
+
+def _json_marks_rows(matrix: TraceabilityMatrix) -> Iterator[str]:
+    """One dense ``marks`` row per NFR: a copy of one all-``false``
+    template with the marked goal indices set to ``true``."""
     falses = ["false"] * len(matrix.goal_ids)
-    pieces = []
     for marked in matrix.rows:
         cells = falses.copy()
         for j in marked:
             cells[j] = "true"
-        pieces.append(",\n      ")
-        pieces.append("[\n        " + ",\n        ".join(cells) + "\n      ]"
-                      if cells else "[]")
-    pieces[0] = "[\n      "  # the first separator opens the array
-    pieces.append("\n    ]")
-    return pieces
+        yield ("[\n        " + ",\n        ".join(cells) + "\n      ]"
+               if cells else "[]")
+
+
+def iter_json(bundle: ReportBundle) -> Iterator[str]:
+    """``export_json`` in pieces: one per layer, diagnostic, per-NFR score,
+    ``marks`` row and criticality score, with the fixed parts between."""
+    model, matrix, report = bundle.model, bundle.matrix, bundle.criticality
+    yield f'{{\n  "system": {_encode(model.system_name)},\n  "layers": '
+    yield from _json_members((
+        f'"{label}": {{\n      "count": {len(elements)},\n'
+        f'      "ids": {_json_array((e.id for e in elements), "      ")}\n    }}'
+        for label, elements in (("stakeholders", model.stakeholders),
+                                ("goals", model.goals),
+                                ("subgoals", model.subgoals),
+                                ("nfrs", model.nfrs))), "  ", "{}")
+    yield ',\n  "diagnostics": '
+    yield from _json_members(map(_json_diagnostic, bundle.diagnostics), "  ")
+    completeness = bundle.completeness
+    yield (f',\n  "mcr": {{\n    "n_c": {completeness.n_c},\n'
+           f'    "n_nv": {completeness.n_nv},\n'
+           f'    "value": "{format_ratio(completeness.mcr)}"\n  }},\n'
+           f'  "checklist": {{\n'
+           f'    "whole_model": {_json_score(bundle.whole_model_score, "    ")},\n'
+           f'    "per_nfr": ')
+    # As a dict would: the first position of a repeated id, its last value.
+    per_nfr = {score.subject: score for score in bundle.per_nfr_scores}
+    yield from _json_members(
+        (f"{_encode(subject)}: {_json_score(score, '      ')}"
+         for subject, score in per_nfr.items()), "    ", "{}")
+    yield (f'\n  }},\n  "matrix": {{\n'
+           f'    "nfr_ids": {_json_array(matrix.nfr_ids, "    ")},\n'
+           f'    "goal_ids": {_json_array(matrix.goal_ids, "    ")},\n'
+           f'    "marks": ')
+    yield from _json_members(_json_marks_rows(matrix), "    ")
+    yield '\n  },\n  "criticality": {\n    "scores": '
+    scores = dict(zip(report.nfr_ids, report.scores))
+    yield from _json_members(
+        (f"{_encode(nfr_id)}: {score}" for nfr_id, score in scores.items()),
+        "    ", "{}")
+    yield (f',\n    "threshold_mode": {_encode(str(report.threshold_mode))},\n'
+           f'    "threshold_value": "{format_ratio(report.threshold_value)}",\n'
+           f'    "critical": {_json_array(report.critical, "    ")}\n  }}\n}}')
 
 
 def export_json(bundle: ReportBundle) -> str:
     """Machine-readable report; key order is part of the contract."""
-    model = bundle.model
-    layers = {}
-    for label, elements in (
-        ("stakeholders", model.stakeholders),
-        ("goals", model.goals),
-        ("subgoals", model.subgoals),
-        ("nfrs", model.nfrs),
-    ):
-        layers[label] = {"count": len(elements),
-                         "ids": [e.id for e in elements]}
-
-    def score_obj(score: ChecklistScore) -> dict:
-        return {"yes": score.yes_count, "answered": score.answered_count,
-                "metric": format_ratio(score.metric)}
-
-    report = bundle.criticality
-    data = {
-        "system": model.system_name,
-        "layers": layers,
-        "diagnostics": [
-            {
-                "rule": d.rule_id,
-                "severity": d.severity,
-                "message": d.message,
-                "subject": d.subject_id,
-                "line": d.source_line,
-            }
-            for d in bundle.diagnostics
-        ],
-        "mcr": {
-            "n_c": bundle.completeness.n_c,
-            "n_nv": bundle.completeness.n_nv,
-            "value": format_ratio(bundle.completeness.mcr),
-        },
-        "checklist": {
-            "whole_model": score_obj(bundle.whole_model_score),
-            "per_nfr": {s.subject: score_obj(s) for s in bundle.per_nfr_scores},
-        },
-        "matrix": {
-            "nfr_ids": list(bundle.matrix.nfr_ids),
-            "goal_ids": list(bundle.matrix.goal_ids),
-            "marks": [],
-        },
-    }
-    head = json.dumps(data, indent=2, ensure_ascii=False)
-    tail = json.dumps({
-        "criticality": {
-            "scores": dict(zip(report.nfr_ids, report.scores)),
-            "threshold_mode": str(report.threshold_mode),
-            "threshold_value": format_ratio(report.threshold_value),
-            "critical": list(report.critical),
-        },
-    }, indent=2, ensure_ascii=False)
-    # By key order ``head`` ends with the empty "marks" list and the
-    # braces closing "matrix" and the document.  Cut them off by length,
-    # never by searching text that holds user strings, and put the dense
-    # marks and the "criticality" member of ``tail`` in their place.
-    return "".join([head[:-len(_EMPTY_MARKS_END)], *_json_marks(bundle.matrix),
-                    "\n  },\n", tail[len("{\n"):]])
-
+    return "".join(iter_json(bundle))

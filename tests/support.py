@@ -109,6 +109,27 @@ def random_model(rng, for_serialization: bool = False) -> Model:
     )
 
 
+def wide_model_text(rng, nfrs: int, goals: int) -> str:
+    """Model text with ``nfrs`` NFRs over ``goals`` goals and no finding,
+    warnings included, so its report grows with NFRs x goals.
+
+    Every goal has one sub-goal, which NFR ``i mod goals`` covers; each
+    NFR also marks up to three random goals and answers a random part of
+    its checklist.  Needs ``nfrs >= goals``.
+    """
+    lines = ['system "Wide"', 'stakeholder s "S"']
+    lines += [f'goal g{j} "Goal {j}" for s' for j in range(goals)]
+    lines += [f'subgoal sg{j} "Sub {j}" of g{j}' for j in range(goals)]
+    for i in range(nfrs):
+        targets = [f"sg{i % goals}"] + [
+            f"g{j}" for j in rng.sample(range(goals), rng.randint(0, 3))]
+        lines.append(f'nfr n{i} "NFR {i}" on {", ".join(targets)}')
+        lines += [f"check n{i} {question} {rng.choice(('yes', 'no'))}"
+                  for question in rng.sample(range(1, CHECKLIST_SIZE + 1),
+                                             rng.randint(0, CHECKLIST_SIZE))]
+    return "\n".join(lines) + "\n"
+
+
 _FUZZ_IDS = ("a", "n", "g1", "sg_2", "x9")
 _FUZZ_NAMES = ("", "N", "a, b", "x # y", "tab\there", "٣ ²")
 _FUZZ_NOISE = ("²", "٣", '"', ",", "#", "\t", "\r", "\ufeff", " ", "",

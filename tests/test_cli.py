@@ -1,11 +1,13 @@
 """Command behavior, exit codes and stream discipline of the CLI."""
 
 import functools
+import io
 import os
 import random
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from nfr4.report import (
     render_summary,
 )
 
-from support import fuzz_line, mutate, random_model, run_cli
+from support import fuzz_line, mutate, random_model, run_cli, wide_model_text
 
 LIBRARY = str(LIBRARY_PATH)
 ATM = str(ATM_PATH)
@@ -66,6 +68,15 @@ subgoal sa "SA" of a
 subgoal sb "SB" of b
 nfr x "X" on a, b
 nfr y "Y" on a, b
+"""
+
+UNICODE_TEXT = """\
+system "Caf\u00e9 \u4e2d"
+stakeholder s "Stakeholder \u00e9"
+goal g "Goal \u4e2d" for s
+subgoal sg "Sub-goal \u00e9\u4e2d" of g
+nfr n "Usabilit\u00e9 \u4e2d" on sg
+check n 1 yes
 """
 
 
@@ -311,6 +322,64 @@ def test_report_json_respects_mode(atm_model):
         build_bundle(atm_model, ThresholdMode.top_k(2))) + "\n"
 
 
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_report_and_matrix_stream_their_output(model_file):
+    # Each line (each JSON row) is written as it is rendered; none holds
+    # more than a sliver of the output.
+    path = model_file(wide_model_text(random.Random(1010), 300, 300))
+    bundle = build_bundle(parse(Path(path).read_bytes()))
+    for argv, expected in (
+        (["report"], render_summary(bundle)),
+        (["report", "--format", "markdown"], render_summary(bundle, "markdown")),
+        (["report", "--format", "json"], export_json(bundle) + "\n"),
+        (["matrix"], render_matrix_table(bundle.matrix, bundle.criticality)),
+    ):
+        out, err = _RecordingStdout(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, path])
+        assert (exit_info.value.code, err.getvalue()) == (0, ""), argv
+        assert "".join(out.writes) == expected, argv
+        assert max(map(len, out.writes)) < 0.05 * len(expected), argv
+
+
+class _CountingBytesIO(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+def test_stdout_becomes_utf8_and_block_written(model_file, monkeypatch):
+    # A stdout as PYTHONIOENCODING=ascii and PYTHONUNBUFFERED=1 set it up.
+    for text in (UNICODE_TEXT, wide_model_text(random.Random(3030), 300, 300)):
+        path = model_file(text)
+        raw = _CountingBytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+            raw, encoding="ascii", write_through=True))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["report", path])
+        assert exit_info.value.code == 0
+        expected = render_summary(build_bundle(parse(text.encode()))).encode()
+        assert raw.getvalue() == expected
+        # Blocks of up to the text layer's 8 KiB chunk, not one per line.
+        assert raw.writes < expected.count(b"\n") / 10
+
+
 def test_report_without_nfrs_is_precondition_error(model_file):
     assert no_nfr_run(model_file, "report") == (
         3, "", "error: model has no NFRs; MCR is undefined\n")
@@ -454,18 +523,24 @@ LAUNCHERS = [
 ]
 
 
+def child_env(env=None):
+    """The caller's environment with ``env`` entries over it (None unsets
+    one) and the package under test first on the import path."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    return {name: value for name, value in env.items() if value is not None}
+
+
 def launch(launcher, argv, env=None, **kwargs):
     """Run the CLI in a child; stdout and stderr are captured unless given.
 
     ``env`` entries override the caller's environment; None unsets one.
     """
-    env = {**os.environ, **(env or {})}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    env = {name: value for name, value in env.items() if value is not None}
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
-    return subprocess.run([*launcher, *argv], env=env, timeout=30, **kwargs)
+    return subprocess.run([*launcher, *argv], env=child_env(env), timeout=30,
+                          **kwargs)
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
@@ -545,3 +620,44 @@ def test_closed_stdout_exits_141_quietly(launcher):
                           preexec_fn=lambda: os.close(1))
             assert (proc.returncode, proc.stderr) == (code, b""), \
                 (argv, buffering)
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_reader_leaving_mid_output_exits_141_quietly(launcher, model_file):
+    # As `nfr4 report big.nfr4 | head -c 4096`: the output is far larger
+    # than a pipe's buffer, so the reader leaves while it is written.
+    text = wide_model_text(random.Random(2020), 500, 500)
+    bundle = build_bundle(parse(text.encode()))
+    assert min(len(render_summary(bundle)), len(export_json(bundle)),
+               len(render_matrix_table(bundle.matrix, bundle.criticality))) \
+        > 2 ** 20
+    path = model_file(text)
+    for buffering in BUFFERING_MODES:
+        for argv in (["report", path], ["report", "--format", "json", path],
+                     ["matrix", path]):
+            with subprocess.Popen([*launcher, *argv], env=child_env(buffering),
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE) as proc:
+                try:
+                    head = proc.stdout.read(4096)
+                    proc.stdout.close()
+                    _, err = proc.communicate(timeout=30)
+                finally:
+                    proc.kill()  # a no-op once the child has exited
+            assert len(head) == 4096, (argv, buffering)
+            assert (proc.returncode, err) == (141, b""), (argv, buffering)
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_output_is_utf8_whatever_the_locale(launcher, model_file):
+    path = model_file(UNICODE_TEXT)
+    for argv in (["report", path], ["report", "--format", "json", path],
+                 ["matrix", path]):
+        utf8 = launch(launcher, argv, {"PYTHONIOENCODING": "utf-8"})
+        assert utf8.returncode == 0
+        assert "\u00e9".encode() in utf8.stdout
+        assert "\u4e2d".encode() in utf8.stdout
+        for encoding in ("ascii", "latin-1"):
+            proc = launch(launcher, argv, {"PYTHONIOENCODING": encoding})
+            assert (proc.returncode, proc.stdout, proc.stderr) \
+                == (0, utf8.stdout, utf8.stderr), (argv, encoding)

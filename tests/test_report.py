@@ -30,6 +30,8 @@ from nfr4.report import (
     build_bundle,
     export_json,
     format_ratio,
+    iter_matrix_table,
+    iter_summary,
     mcr_line,
     render_matrix_table,
     render_summary,
@@ -403,6 +405,29 @@ def test_summary_rejects_unknown_format(library_model):
         render_summary(build_bundle(library_model), format="html")
 
 
+def test_streamed_renderers_refuse_before_their_first_piece(library_model):
+    bundle = build_bundle(library_model)
+    empty = replace(bundle.matrix, nfr_ids=(), nfr_names=(), rows=())
+    for pieces in (iter_summary(bundle, "html"),
+                   iter_summary(replace(bundle, matrix=empty)),
+                   iter_summary(replace(bundle, matrix=empty), "markdown"),
+                   iter_matrix_table(empty, bundle.criticality)):
+        with pytest.raises(ValueError):
+            next(pieces)
+
+
+def test_summary_strips_the_newlines_that_end_the_table():
+    # Only a hand-built model can end a goal name with a newline.
+    model = Model("S", (Stakeholder("s", "S"),),
+                  (Goal("g", "G\n\n", ("s",)),),
+                  (SubGoal("sg", "SG", ("g",)),), (Nfr("n", "N", ("sg",)),))
+    bundle = build_bundle(model)
+    table = render_matrix_table(bundle.matrix, bundle.criticality)
+    assert table.endswith("G1 = G\n\n\n")
+    assert table.rstrip("\n") + "\n\nCritical NFRs\n" in render_summary(bundle)
+    assert table.rstrip("\n") + "\n```\n" in render_summary(bundle, "markdown")
+
+
 def test_renderers_are_deterministic(library_model):
     first = build_bundle(library_model)
     second = build_bundle(library_model)
@@ -512,6 +537,26 @@ def test_json_degenerate_matrices_match_the_reference(library_model):
     ):
         hand_built = replace(bundle, matrix=degenerate)
         assert export_json(hand_built) == reference_json(hand_built)
+
+
+def test_json_repeated_ids_keep_dict_semantics(library_model):
+    """A hand-built bundle may repeat an NFR id in "per_nfr" and in
+    "scores": each key keeps its first position and its last value, as
+    the reference's dicts do."""
+    bundle = build_bundle(library_model)
+    first, second = bundle.per_nfr_scores[:2]
+    report = bundle.criticality
+    repeated = replace(
+        bundle,
+        per_nfr_scores=(*bundle.per_nfr_scores,
+                        replace(second, subject=first.subject)),
+        criticality=replace(report, nfr_ids=(*report.nfr_ids, first.subject),
+                            scores=(*report.scores, 99)))
+    text = export_json(repeated)
+    assert text == reference_json(repeated)
+    data = json.loads(text)
+    assert list(data["checklist"]["per_nfr"])[0] == first.subject
+    assert data["criticality"]["scores"][first.subject] == 99
 
 
 def test_json_atm_critical_set(atm_model):
