@@ -80,17 +80,21 @@ def _discard(*streams) -> None:
 
 
 def _parse_mode(text: str) -> ThresholdMode:
-    if text == "mean":
-        return ThresholdMode.mean()
-    if text.startswith("top_k="):
-        return ThresholdMode.top_k(int(text[len("top_k="):]))
-    if text.startswith("absolute="):
-        try:
-            threshold = Fraction(text[len("absolute="):])
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        return ThresholdMode.absolute(threshold)
-    raise ValueError(f"expected mean, top_k=K or absolute=T, got {text!r}")
+    # argparse prints an ArgumentTypeError's text but drops a ValueError's.
+    try:
+        if text == "mean":
+            return ThresholdMode.mean()
+        if text.startswith("top_k="):
+            return ThresholdMode.top_k(int(text[len("top_k="):]))
+        if text.startswith("absolute="):
+            return ThresholdMode.absolute(Fraction(text[len("absolute="):]))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(
+        f"expected mean, top_k=K or absolute=T, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

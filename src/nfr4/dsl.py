@@ -21,18 +21,19 @@ the whole file is scanned, against goals first.  Unresolvable
 references are not parse errors -- they surface as REF diagnostics
 from ``validate_structure``.
 
-A well-formed line is read with one match of the statement regex.  Every
-other line goes to the token walker, which finds its error (or that it
-is blank); the walker is the only source of parse errors and the
-reference the statement regex is tested against.  In the walker ``check``
-has its own path; every other keyword reads an id (none for ``system``), a
-quoted name and, for ``goal``/``subgoal``/``nfr``, its connective and ids.
+The whole text is read with one scan of a compiled regex, one match per
+line.  A well-formed statement matches its first branch; every other line
+falls to its catch-all branch and goes to the token walker, which finds
+its error (or that it is blank).  The walker is the only source of parse
+errors and the reference the scanner is tested against.  In the walker
+``check`` has its own path; every other keyword reads an id (none for
+``system``), a quoted name and, for ``goal``/``subgoal``/``nfr``, its
+connective and ids.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +58,7 @@ _ID_RE = re.compile(_ID + r"\Z")
 _INDEX_RE = re.compile(r"[0-9]+\Z")
 _KEYWORDS = ("system", "stakeholder", "goal", "subgoal", "nfr", "check")
 _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
+_SLOT = {str(n): n - 1 for n in range(1, CHECKLIST_SIZE + 1)}
 
 # One token: a comma, a quoted name, a bare word, the ``#`` that starts a
 # comment, or a quote that opens no name.  Only spaces and tabs fall
@@ -64,19 +66,22 @@ _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
 _TOKEN_RE = re.compile(
     r'(?P<comma>,)|"(?P<string>[^"]*)"|(?P<word>[^ \t,"#]+)|(?P<comment>#)|"')
 
-# Well-formed statements.  A line fullmatches this regex, with the
-# connective its keyword takes (``_match_statement`` checks that), exactly
-# when ``_parse_line`` accepts it, with the same fields; every other line
-# goes to ``_parse_line``.  Groups: check id, index and answer; element
-# keyword (None for system), id, name, connective and refs.
-_STATEMENT_RE = re.compile(
+# The whole-file scanner.  Every match is one line, as ``str.split("\n")``
+# cuts them, and ends at its newline or the end of the text, so the line
+# number is the match count.  A line matches the first branch, with the
+# connective its keyword takes (``parse`` checks that), exactly when
+# ``_parse_line`` accepts it, with the same fields; every other line falls
+# to the catch-all branch.  Groups: check id, index (no leading zeros) and
+# answer; element keyword (None for system), id, name, connective and refs;
+# the empty catch-all marker.
+_SCANNER = re.compile(
     rf"[ \t]*(?:check[ \t]+({_ID})[ \t]+0*([1-{CHECKLIST_SIZE}])"
     rf"[ \t]+({YES}|{NO})"
     rf"|(?:system|(stakeholder|goal|subgoal|nfr)[ \t]+({_ID}))"
-    rf'[ \t]*"([^"]*)"'
+    rf'[ \t]*"([^"\n]*)"'
     rf"(?:[ \t]*(for|of|on)[ \t]+({_ID}(?:[ \t]*,[ \t]*{_ID})*))?"
-    rf")[ \t]*(?:#.*)?")
-_REF_SEPARATOR_RE = re.compile(r"[ \t]*,[ \t]*")
+    rf")[ \t]*(?:#[^\n]*)?\r?(?:\n|\Z)"
+    r"|^()[^\n]*(?:\n|\Z)", re.MULTILINE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,39 +105,11 @@ class _Token(NamedTuple):
     end: int  # column just past the token, closing quote included
 
 
-class _Statement(NamedTuple):
-    keyword: str
-    line: int
-    id: str = ""
-    name: str = ""
-    refs: tuple[str, ...] = ()
-    index: int = 0
-    answer: str = ""
-
-
-def _match_statement(text: str, lineno: int) -> _Statement | None:
-    """The statement on a well-formed line, or None for any other line."""
-    match = _STATEMENT_RE.fullmatch(text)
-    if match is None:
-        return None
-    check_id, index, answer, keyword, ident, name, connective, refs \
-        = match.groups()
-    # Statements take shared keyword strings, and checks (most lines of a
-    # large model) the shared answer constants, instead of the new
-    # strings a match returns; the model keeps every answer.
-    if check_id is not None:
-        return _Statement("check", lineno, check_id, index=int(index),
-                          answer=YES if answer == YES else NO)
-    keyword = sys.intern(keyword or "system")
-    if connective != _CONNECTIVE.get(keyword):
-        return None
-    return _Statement(keyword, lineno, ident or "", name,
-                      tuple(_REF_SEPARATOR_RE.split(refs)) if refs else ())
-
-
-def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
+def _parse_line(text: str, lineno: int) -> tuple | ParseError | None:
     """Parse one line; None for blank/comment-only lines.
 
+    A statement comes back as the fields of a scanner match, refs as a
+    tuple: check id, index, answer, keyword, id, name, refs; None if unused.
     ``check`` has its own path; the other keywords share the one the
     module docstring describes.  At most one error is reported per line
     (the first problem found), so fixing a line removes exactly its error.
@@ -184,8 +161,8 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
             return error("malformed-line",
                          f"unexpected '{tokens[4].text}' after answer",
                          tokens[4].column)
-        return _Statement("check", lineno, id=ident.text,
-                          index=int(index_tok.text), answer=answer_tok.text)
+        return (ident.text, index_tok.text.lstrip("0"), answer_tok.text,
+                None, None, None, None)
 
     ident, rest = "", tokens[1:]
     if keyword != "system":
@@ -213,7 +190,7 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
             return error("malformed-line",
                          f"unexpected '{rest[0].text}' after display name",
                          rest[0].column)
-        return _Statement(keyword, lineno, ident, name)
+        return None, None, None, keyword, ident, name, None
     if not rest:
         return missing(f"{keyword} needs '{connective}' and at least one id")
     if rest[0].kind != "word" or rest[0].text != connective:
@@ -238,8 +215,8 @@ def _parse_line(text: str, lineno: int) -> _Statement | ParseError | None:
     if len(refs) % 2 == 0:
         return missing(f"{keyword} needs at least one id after '{connective}'"
                        if not refs else "trailing ',' without an id")
-    return _Statement(keyword, lineno, ident, name,
-                      tuple(token.text for token in refs[::2]))
+    return (None, None, None, keyword, ident, name,
+            tuple(token.text for token in refs[::2]))
 
 
 def parse(source: str | bytes) -> Model | list[ParseError]:
@@ -254,28 +231,68 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
     source = source.removeprefix("\ufeff")
 
     errors: list[ParseError] = []
-    # Statements by keyword, each list in line order.
-    statements: dict[str, list[_Statement]] = {k: [] for k in _KEYWORDS}
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-        result = _match_statement(line, lineno) or _parse_line(line, lineno)
-        if isinstance(result, ParseError):
-            errors.append(result)
-        elif result is not None:
-            statements[result.keyword].append(result)
+    systems: list[tuple[str, int]] = []
+    stakeholders: list[Stakeholder] = []
+    goals: list[Goal] = []
+    subgoals: list[SubGoal] = []
+    nfr_rows: list[tuple] = []  # id, name, refs, line, answer slots
+    # Every check answers the first NFR declared with its id; the last
+    # answer to a question wins.  Checks that come before any NFR with
+    # their id wait in ``early`` until one is declared; the rest are
+    # unresolved.
+    answers: dict[str, list[str]] = {}
+    early: dict[str, list[UnresolvedCheck]] = {}
+    first_element_line = 0  # none yet
+    for lineno, match in enumerate(_SCANNER.finditer(source), start=1):
+        check_id, index, answer, keyword, ident, name, connective, refs, \
+            other = match.groups()
+        if check_id is None:
+            if other is None and connective == _CONNECTIVE.get(keyword):
+                # A ref list holds ids, commas and blanks only.
+                refs = refs and tuple(
+                    refs.replace(" ", "").replace("\t", "").split(","))
+            else:
+                fields = _parse_line(
+                    match[0].removesuffix("\n").removesuffix("\r"), lineno)
+                if not isinstance(fields, tuple):
+                    if fields is not None:
+                        errors.append(fields)
+                    continue
+                check_id, index, answer, keyword, ident, name, refs = fields
+        if check_id is not None:
+            # The shared answer constants, not a new string per line.
+            answer = YES if answer == YES else NO
+            slots = answers.get(check_id)
+            if slots is not None:
+                slots[_SLOT[index]] = answer
+                continue
+            early.setdefault(check_id, []).append(
+                UnresolvedCheck(check_id, int(index), answer, line=lineno))
+        elif keyword == "nfr":
+            slots = None
+            if ident not in answers:
+                slots = answers[ident] = [UNANSWERED] * CHECKLIST_SIZE
+                for check in early.pop(ident, ()):
+                    slots[check.index - 1] = check.answer
+            nfr_rows.append((ident, name, refs, lineno, slots))
+        elif keyword == "stakeholder":
+            stakeholders.append(Stakeholder(ident, name, line=lineno))
+        elif keyword == "goal":
+            goals.append(Goal(ident, name, refs, line=lineno))
+        elif keyword == "subgoal":
+            subgoals.append(SubGoal(ident, name, refs, line=lineno))
+        else:  # system: None from the scanner, "system" from the walker
+            systems.append((name, lineno))
+            continue
+        first_element_line = first_element_line or lineno
 
-    systems = statements["system"]
-    first_element_line = min((group[0].line for keyword, group
-                              in statements.items()
-                              if keyword != "system" and group), default=None)
     if systems:
-        if first_element_line is not None \
-                and first_element_line < systems[0].line:
+        if 0 < first_element_line < systems[0][1]:
             errors.append(ParseError(
                 "missing-system", first_element_line, 1,
                 "element declared before the system statement"))
-        for statement in systems[1:]:
-            errors.append(ParseError("duplicate-system", statement.line, 1,
+        for _, line in systems[1:]:
+            errors.append(ParseError("duplicate-system", line, 1,
                                      "system is already declared"))
     elif not errors:
         # A failed system line already carries its own error; only a file
@@ -287,49 +304,27 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
         errors.sort(key=lambda e: (e.line, e.column))
         return errors
 
-    stakeholders = [Stakeholder(s.id, s.name, line=s.line)
-                    for s in statements["stakeholder"]]
-    goals = [Goal(s.id, s.name, s.refs, line=s.line)
-             for s in statements["goal"]]
-    subgoals = [SubGoal(s.id, s.name, s.refs, line=s.line)
-                for s in statements["subgoal"]]
-    nfr_statements = statements["nfr"]
-
-    # Every check answers the first NFR declared with its id; the last
-    # answer to a question wins.  Each Nfr is built once, answers and all.
-    answers = {statement.id: [UNANSWERED] * CHECKLIST_SIZE
-               for statement in nfr_statements}
-    unresolved: list[UnresolvedCheck] = []
-    for statement in statements["check"]:
-        slots = answers.get(statement.id)
-        if slots is None:
-            unresolved.append(UnresolvedCheck(statement.id, statement.index,
-                                              statement.answer,
-                                              line=statement.line))
-        else:
-            slots[statement.index - 1] = statement.answer
-
     goal_ids = {g.id for g in goals}
     subgoal_ids = {s.id for s in subgoals}
     nfrs: list[Nfr] = []
-    for statement in nfr_statements:
+    for ident, name, refs, lineno, slots in nfr_rows:
         attached_goals: list[str] = []
         attached_subgoals: list[str] = []
-        for ref in statement.refs:
+        for ref in refs:
             if ref in goal_ids:
                 attached_goals.append(ref)
             elif ref in subgoal_ids:
                 attached_subgoals.append(ref)
             else:
                 attached_goals.append(ref)  # dangling; REF diagnostic later
-        slots = answers.pop(statement.id, None)
         checklist = ChecklistRecord() if slots is None \
             else ChecklistRecord(tuple(slots))
-        nfrs.append(Nfr(statement.id, statement.name,
-                        tuple(attached_subgoals), tuple(attached_goals),
-                        checklist, line=statement.line))
+        nfrs.append(Nfr(ident, name, tuple(attached_subgoals),
+                        tuple(attached_goals), checklist, line=lineno))
+    unresolved = sorted((check for group in early.values() for check in group),
+                        key=lambda check: check.line)
 
-    return Model(systems[0].name, tuple(stakeholders), tuple(goals),
+    return Model(systems[0][0], tuple(stakeholders), tuple(goals),
                  tuple(subgoals), tuple(nfrs), tuple(unresolved))
 
 

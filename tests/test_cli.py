@@ -432,6 +432,21 @@ def test_bad_usage_exits_64(argv):
     assert err != ""
 
 
+@pytest.mark.parametrize("mode, reason", [
+    ("x", "expected mean, top_k=K or absolute=T, got 'x'"),
+    ("top_k=abc", "invalid literal for int() with base 10: 'abc'"),
+    ("top_k=0", "top_k needs k >= 1, got 0"),
+    ("absolute=1/0", "zero denominator in 'absolute=1/0'"),
+    ("absolute=nan", "Invalid literal for Fraction: 'nan'"),
+    ("absolute=-2", "absolute threshold must be >= 0, got -2"),
+])
+def test_bad_mode_says_why(mode, reason):
+    code, out, err = run_cli(["critical", "--mode", mode, "x.nfr4"])
+    assert (code, out) == (64, "")
+    assert err.splitlines()[1:] == [
+        f"nfr4 critical: error: argument --mode: {reason}"]
+
+
 def test_usage_error_does_not_touch_the_input(model_file):
     # Usage problems are reported before the file is read.
     code, _, _ = run_cli(["critical", "--mode", "bogus",

@@ -185,6 +185,19 @@ def test_check_with_unknown_nfr_is_kept_unresolved():
                for d in validate_structure(model))
 
 
+def test_unresolved_checks_keep_line_order():
+    model = parsed('system "T"\ncheck b 1 yes\ncheck a 2 no\n'
+                   'check n 3 yes\nnfr n "N" on g\ncheck b 4 no\n')
+    assert [(c.nfr_id, c.index, c.line) for c in model.unresolved_checks] \
+        == [("b", 1, 2), ("a", 2, 3), ("b", 4, 6)]
+    assert model.nfrs[0].checklist.answers[2] == "yes"
+
+
+def test_check_before_the_system_line_counts_as_an_element():
+    assert errors_of('check x 1 yes\nsystem "T"\n') == [ParseError(
+        "missing-system", 1, 1, "element declared before the system statement")]
+
+
 # ----------------------------------------------------------------- errors
 
 
@@ -534,7 +547,8 @@ def test_parse_survives_mutated_fixture(library_text):
 #
 # Valid statements are derived from the grammar token by token and then
 # mutated token by token (``support.fuzz_line``).  The token walker
-# ``_parse_line`` is the reference for the statement regex.
+# ``_parse_line`` is the reference for the scanner: with the scanner's
+# statement branch switched off, every line goes to the walker.
 
 
 def _located(result):
@@ -549,18 +563,58 @@ def _located(result):
     return result, [[item.line for item in layer] for layer in layers]
 
 
+def _scanner_off(patch):
+    """Switch off the scanner's statement branch; its catch-all stays.
+
+    The scanner is ``statement|catch-all``, so a failing lookahead in
+    front of it can only fail the statement branch.
+    """
+    scanner = dsl._SCANNER
+    patch.setattr(dsl, "_SCANNER",
+                  re.compile("(?!)" + scanner.pattern, scanner.flags))
+
+
+def _walker_only(text, monkeypatch):
+    with monkeypatch.context() as patch:
+        _scanner_off(patch)
+        return _located(parse(text))
+
+
+def _split_lines(text):
+    """The lines of a file, numbered, as the walker must receive them."""
+    return [(number, line.removesuffix("\r")) for number, line
+            in enumerate(text.removeprefix("\ufeff").split("\n"), start=1)]
+
+
+@pytest.fixture
+def walker_calls(monkeypatch):
+    """Every (line number, text) that ``parse`` hands to the walker."""
+    calls = []
+    walker = dsl._parse_line
+
+    def counted(text, lineno):
+        calls.append((lineno, text))
+        return walker(text, lineno)
+
+    monkeypatch.setattr(dsl, "_parse_line", counted)
+    return calls
+
+
 @pytest.mark.parametrize("line, expected", [
-    ('goal g "Name"for a', ("goal", 1, "g", "Name", ("a",))),
-    ('check n 08 yes', ("check", 1, "n", "", (), 8, "yes")),
-    ('\tnfr n\t"N, #1"\ton a ,b,\tc # note', ("nfr", 1, "n", "N, #1",
-                                              ("a", "b", "c"))),
-    ('system"S"#', ("system", 1, "", "S")),
-    ('stakeholder s "S"\t', ("stakeholder", 1, "s", "S")),
+    ('goal g "Name"for a', Model("T", goals=(Goal("g", "Name", ("a",)),))),
+    ('check n 08 yes',
+     Model("T", unresolved_checks=(UnresolvedCheck("n", 8, "yes"),))),
+    ('\tnfr n\t"N, #1"\ton a ,b,\tc # note',
+     Model("T", nfrs=(Nfr("n", "N, #1", (), ("a", "b", "c")),))),
+    ('system"S"#', Model("S")),
+    ('stakeholder s "S"\t', Model("T", (Stakeholder("s", "S"),))),
 ])
-def test_statement_regex_examples(line, expected):
-    expected = dsl._Statement(*expected)
-    assert dsl._parse_line(line, 1) == expected
-    assert dsl._match_statement(line, 1) == expected
+def test_statement_regex_examples(line, expected, walker_calls, monkeypatch):
+    text = line if line.startswith("system") else 'system "T"\n' + line
+    result = parse(text)
+    assert walker_calls == []  # the scanner read every line
+    assert result == expected
+    assert _walker_only(text, monkeypatch) == _located(result)
 
 
 @pytest.mark.parametrize("line", [
@@ -572,29 +626,41 @@ def test_statement_regex_examples(line, expected):
     'goal g "G" on a', 'nfr n "N" for a', 'subgoal sg "SG" on g',
     'stakeholder s "S" for a', 'system "S" of a', 'goal g "G"',
 ])
-def test_statement_regex_rejects_what_the_token_walker_rejects(line):
-    assert not isinstance(dsl._parse_line(line, 1), dsl._Statement)
-    assert dsl._match_statement(line, 1) is None
+def test_statement_regex_rejects_what_the_token_walker_rejects(line,
+                                                              walker_calls):
+    # The CRLF is the line's end, so the walker sees the line itself; the
+    # empty line after the last newline goes to the walker too.
+    parse('system "T"\n' + line + "\r\n")
+    assert walker_calls == [(2, line), (3, "")]
+    assert not isinstance(dsl._parse_line(line, 2), tuple)
 
 
-def test_statement_regexes_agree_with_token_walker():
+def test_statement_regexes_agree_with_token_walker(walker_calls, monkeypatch):
     rng = random.Random(303)
+    cases = []
     accepted = 0
     for _ in range(6000):
         line = fuzz_line(rng)
-        reference = dsl._parse_line(line, 7)
-        fast = dsl._match_statement(line, 7)
-        if isinstance(reference, dsl._Statement):
-            assert fast == reference, repr(line)
-            accepted += 1
-        else:
-            assert fast is None, repr(line)
-        assert isinstance(parse('system "T"\n' + line), (Model, list))
+        end = rng.choice(("\n", "\r\n", ""))
+        text = 'system "T"\n' + line + end
+        seen = (line + end).removesuffix("\n").removesuffix("\r")
+        walker_calls.clear()
+        result = _located(parse(text))
+        # The scanner reads exactly the lines the walker accepts.
+        scanned = walker_calls[:1] != [(2, seen)]
+        assert scanned == isinstance(dsl._parse_line(seen, 2), tuple), \
+            repr(line)
+        accepted += scanned
+        cases.append((text, result))
     # Both outcomes must be well represented, or the check proves little.
     assert 1500 < accepted < 4500
+    _scanner_off(monkeypatch)
+    for text, result in cases:
+        assert _located(parse(text)) == result, repr(text)
 
 
-def test_fuzzed_files_parse_the_same_through_the_token_walker(monkeypatch):
+def test_fuzzed_files_parse_the_same_through_the_token_walker(walker_calls,
+                                                             monkeypatch):
     rng = random.Random(304)
     files = []
     for _ in range(400):
@@ -609,7 +675,68 @@ def test_fuzzed_files_parse_the_same_through_the_token_walker(monkeypatch):
     fast = [_located(parse(text)) for text in files]
     models = sum(isinstance(result, tuple) for result in fast)
     assert 100 < models < 300
-    monkeypatch.setattr(dsl, "_STATEMENT_RE", re.compile(r"(?!)"))
-    assert dsl._match_statement('system "T"', 1) is None
+    _scanner_off(monkeypatch)
     for text, result in zip(files, fast):
+        walker_calls.clear()
         assert _located(parse(text)) == result, repr(text)
+        # Every line went to the walker, cut and numbered as str.split does.
+        assert walker_calls == _split_lines(text), repr(text)
+
+
+_S = 'system "T"\n'
+
+
+@pytest.mark.parametrize("text, expected", [
+    # One CR is stripped from a line's end, and only one.
+    (_S + "x\r\r\n", [("unknown-keyword", 2, 1)]),
+    (_S + 'stakeholder s "S"\r\r\n', [("malformed-line", 2, 18)]),
+    # A CR inside a line is part of it.
+    (_S + 'stakeholder s "a\rb"\n', ("a\rb", 2)),
+    # A quoted name does not run on into the next line.
+    (_S + 'stakeholder s "open\nclose"\n',
+     [("unterminated-string", 2, 15), ("unterminated-string", 3, 6)]),
+    # The last line, with or without its line end.
+    (_S + 'stakeholder s "S"', ("S", 2)),
+    ('system "T"\r\nstakeholder s "S"\r\n', ("S", 2)),
+    (_S + 'stakeholder s "S"\r', ("S", 2)),
+    ("", [("missing-system", 1, 1)]),
+    ("\ufeff", [("missing-system", 1, 1)]),
+    ("\n\n", [("missing-system", 1, 1)]),
+    (_S + '\nstakeholder s "S"\nbogus', [("unknown-keyword", 4, 1)]),
+    (_S + '\nstakeholder s "S"\nbogus\r\n', [("unknown-keyword", 4, 1)]),
+    (_S + '\n\nstakeholder s "S"\n', ("S", 4)),
+    # A comment runs to the line's end, CRs included.
+    (_S + 'stakeholder s "S" # note\r\r\n', ("S", 2)),
+    ('system "T" #\r', None),
+])
+def test_scanner_line_edges(text, expected, walker_calls, monkeypatch):
+    result = parse(text)
+    if isinstance(expected, list):
+        assert [(e.kind, e.line, e.column) for e in result] == expected
+    elif expected is None:
+        assert result == Model("T")
+    else:
+        name, line = expected
+        assert result == Model("T", (Stakeholder("s", name),))
+        assert result.stakeholders[0].line == line
+    walker_calls.clear()
+    assert _walker_only(text, monkeypatch) == _located(result)
+    assert walker_calls == _split_lines(text)
+
+
+def test_well_formed_lines_take_the_scanner(library_text, atm_text,
+                                            library_model, atm_model,
+                                            walker_calls):
+    rng = random.Random(305)
+    models = [library_model, atm_model] + [
+        random_model(rng, for_serialization=True) for _ in range(50)]
+    texts = [library_text, atm_text] + [serialize(m) for m in models]
+    for text in texts:
+        walker_calls.clear()
+        assert isinstance(parse(text), Model)
+        # Only blank and comment lines reach the walker; the empty line
+        # after the last newline is one.
+        assert walker_calls, "the counter must see the walker's calls"
+        for _, line in walker_calls:
+            assert line.strip(" \t") == "" \
+                or line.lstrip(" \t").startswith("#"), repr(line)
