@@ -179,6 +179,8 @@ class ThresholdMode:
 
     @classmethod
     def top_k(cls, k: int) -> ThresholdMode:
+        if not isinstance(k, int):
+            raise ValueError(f"top_k needs an integer k, got {k!r}")
         if k < 1:
             raise ValueError(f"top_k needs k >= 1, got {k}")
         return cls("top_k", k)
@@ -213,7 +215,8 @@ class CriticalityReport:
 
 
 def rank_criticality(matrix: TraceabilityMatrix,
-                     mode: ThresholdMode | None = None) -> CriticalityReport:
+                     mode: ThresholdMode = ThresholdMode.mean(),
+                     ) -> CriticalityReport:
     """Score each NFR by how many goals it marks and pick the critical set.
 
     mean (default): critical means strictly above the arithmetic mean
@@ -221,8 +224,6 @@ def rank_criticality(matrix: TraceabilityMatrix,
     top_k(k): the k highest scores, ties broken by declaration order.
     absolute(t): every NFR scoring at least t.
     """
-    if mode is None:
-        mode = ThresholdMode.mean()
     if not matrix.nfr_ids or not matrix.goal_ids:
         raise EmptyMatrixError("traceability matrix has no rows or no columns")
 

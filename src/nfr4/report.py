@@ -68,7 +68,7 @@ class ReportBundle:
     criticality: CriticalityReport
 
 
-def build_bundle(model: Model, mode: ThresholdMode | None = None, *,
+def build_bundle(model: Model, mode: ThresholdMode = ThresholdMode.mean(), *,
                  diagnostics: Sequence[Diagnostic] | None = None) -> ReportBundle:
     """Run the full analysis for one model.
 

@@ -368,6 +368,9 @@ def test_absolute_mode_is_inclusive(library_model):
 def test_threshold_mode_validation():
     with pytest.raises(ValueError):
         ThresholdMode.top_k(0)
+    for k in (2.5, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            ThresholdMode.top_k(k)
     with pytest.raises(ValueError):
         ThresholdMode.absolute(-1)
     assert str(ThresholdMode.mean()) == "mean"
