@@ -179,7 +179,7 @@ class ThresholdMode:
 
     @classmethod
     def top_k(cls, k: int) -> ThresholdMode:
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"top_k needs an integer k, got {k!r}")
         if k < 1:
             raise ValueError(f"top_k needs k >= 1, got {k}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring as _encode
 
 from .analysis import (
@@ -108,13 +108,18 @@ def iter_matrix_table(matrix: TraceabilityMatrix,
 
     yield row(["NFR".ljust(name_width), *goal_headers,
                "score".ljust(score_width), "critical"])
-    blanks = [" " * len(header) for header in goal_headers]
-    crosses = ["X".ljust(len(header)) for header in goal_headers]
+    # The goal cells of an unmarked row, and the offset where each cell
+    # starts: a row is a copy of the template with an X stored per mark.
+    # Only blanks and Xs go through bytes; names may be non-ASCII.
+    template = "  ".join(" " * len(header) for header in goal_headers).encode()
+    starts = list(accumulate((len(header) + 2 for header in goal_headers[:-1]),
+                             initial=0))
+    cross = ord("X")
     for i, (name, marked) in enumerate(zip(matrix.nfr_names, matrix.rows)):
-        cells = blanks.copy()
+        goal_cells = bytearray(template)
         for j in marked:
-            cells[j] = crosses[j]
-        yield row([name.ljust(name_width), *cells,
+            goal_cells[starts[j]] = cross
+        yield row([name.ljust(name_width), goal_cells.decode(),
                    str(criticality.scores[i]).ljust(score_width),
                    "*" if matrix.nfr_ids[i] in critical_set else ""])
 

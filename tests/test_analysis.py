@@ -366,9 +366,9 @@ def test_absolute_mode_is_inclusive(library_model):
 
 
 def test_threshold_mode_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^top_k needs k >= 1, got 0$"):
         ThresholdMode.top_k(0)
-    for k in (2.5, "2"):
+    for k in (2.5, "2", True, False):
         with pytest.raises(ValueError, match="integer"):
             ThresholdMode.top_k(k)
     with pytest.raises(ValueError):

@@ -344,6 +344,30 @@ def test_table_matches_the_cell_by_cell_reference():
                 == reference_table(bundle.matrix, bundle.criticality, legend)
 
 
+def test_table_cells_follow_every_header_width():
+    """Headers widen at G10, G100 and G1000; a mark must sit at the start
+    of its own cell whatever the width of the cells before it."""
+    goals = tuple(Goal(f"g{j}", f"Goal {j}", ("s",)) for j in range(1, 1002))
+    everything = SubGoal("sg", "All goals", tuple(g.id for g in goals))
+    nfrs = (
+        Nfr("edges", "Width edges", (),
+            tuple(f"g{j}" for j in (9, 10, 99, 100, 999, 1000, 1001))),
+        Nfr("none", "Unmarked"),
+        Nfr("all", "Every goal", ("sg",)),
+        Nfr("umlaut", "Zuverlässigkeit ✓", (), ("g1", "g500", "g1001")),
+    )
+    model = Model("S", (Stakeholder("s", "S"),), goals, (everything,), nfrs)
+    bundle = build_bundle(model)
+    assert bundle.matrix.rows[0] == (8, 9, 98, 99, 998, 999, 1000)
+    assert len(bundle.matrix.rows[2]) == 1001
+    for legend in (True, False):
+        expected = reference_table(bundle.matrix, bundle.criticality, legend)
+        assert render_matrix_table(bundle.matrix, bundle.criticality,
+                                   legend) == expected
+        assert "".join(iter_matrix_table(bundle.matrix, bundle.criticality,
+                                         legend)) == expected
+
+
 def test_table_refuses_empty_matrix(library_model):
     matrix = build_traceability_matrix(library_model)
     empty = type(matrix)((), (), matrix.goal_ids, matrix.goal_names, ())
