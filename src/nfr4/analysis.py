@@ -187,6 +187,8 @@ class ThresholdMode:
 
     @classmethod
     def absolute(cls, threshold) -> ThresholdMode:
+        if isinstance(threshold, bool):
+            raise ValueError(f"absolute needs a number t, got {threshold!r}")
         value = Fraction(str(threshold)) if isinstance(threshold, float) \
             else Fraction(threshold)
         if value < 0:

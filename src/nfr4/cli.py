@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import io
 import os
 import sys
@@ -32,7 +33,7 @@ from .analysis import (
     rank_criticality,
     score_checklist,
 )
-from .dsl import ParseError, parse
+from .dsl import parse
 from .model import Diagnostic, Model, validate_structure
 from .report import (
     build_bundle,
@@ -80,14 +81,19 @@ def _discard(*streams) -> None:
 
 
 def _parse_mode(text: str) -> ThresholdMode:
+    # int() and Fraction() also take blanks, '_' and non-ASCII digits,
+    # each Python version its own set; K and T are plain ASCII here.
+    value = text.partition("=")[2]
+    plain = value.isascii() and value.isprintable() \
+        and " " not in value and "_" not in value
     # argparse prints an ArgumentTypeError's text but drops a ValueError's.
     try:
         if text == "mean":
             return ThresholdMode.mean()
-        if text.startswith("top_k="):
-            return ThresholdMode.top_k(int(text[len("top_k="):]))
-        if text.startswith("absolute="):
-            return ThresholdMode.absolute(Fraction(text[len("absolute="):]))
+        if text.startswith("top_k=") and plain:
+            return ThresholdMode.top_k(int(value))
+        if text.startswith("absolute=") and plain:
+            return ThresholdMode.absolute(Fraction(value))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"zero denominator in {text!r}") from None
@@ -97,6 +103,7 @@ def _parse_mode(text: str) -> ThresholdMode:
         f"expected mean, top_k=K or absolute=T, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nfr4",
                      description="Four-layer NFR model analysis")
@@ -139,52 +146,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _display_path(path: str) -> str:
-    return "<stdin>" if path == "-" else path
-
-
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        if sys.stdin is None:  # fd 0 was closed at launch
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
-
-
-def _print_parse_errors(errors: list[ParseError], path: str) -> None:
-    where = _display_path(path)
-    for error in errors:
-        print(f"{where}:{error.line}:{error.column}:"
-              f" {error.kind}: {error.message}", file=sys.stderr)
-
-
-def _print_diagnostics(diagnostics: list[Diagnostic], path: str) -> None:
-    where = _display_path(path)
-    for diagnostic in diagnostics:
-        location = f"{where}:{diagnostic.source_line}" \
-            if diagnostic.source_line else where
-        print(f"{location}: {diagnostic.severity} {diagnostic.rule_id}:"
-              f" {diagnostic.message}", file=sys.stderr)
-
-
 def _load_gated(path: str,
                 failure_code: int) -> tuple[Model, list[Diagnostic]]:
     """Read, parse and lint the input, or exit with ``failure_code``.
 
-    Diagnostics go to stderr; error-severity ones refuse the model.
+    Parse errors and diagnostics go to stderr, one write for each gate;
+    error-severity diagnostics refuse the model.
     """
+    where = "<stdin>" if path == "-" else path
     try:
-        raw = _read_input(path)
+        if path != "-":
+            raw = Path(path).read_bytes()
+        elif sys.stdin is None:  # fd 0 was closed at launch
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            raw = sys.stdin.buffer.read()
     except OSError as exc:
-        print(f"error: cannot read {_display_path(path)}: {exc}",
-              file=sys.stderr)
+        print(f"error: cannot read {where}: {exc}", file=sys.stderr)
         sys.exit(failure_code)
     model = parse(raw)
     if isinstance(model, list):
-        _print_parse_errors(model, path)
+        sys.stderr.write("".join(
+            f"{where}:{e.line}:{e.column}: {e.kind}: {e.message}\n"
+            for e in model))
         sys.exit(failure_code)
     diagnostics = validate_structure(model)
-    _print_diagnostics(diagnostics, path)
+    sys.stderr.write("".join(
+        f"{where}{f':{d.source_line}' if d.source_line else ''}:"
+        f" {d.severity} {d.rule_id}: {d.message}\n" for d in diagnostics))
     if any(d.severity == "error" for d in diagnostics):
         sys.exit(failure_code)
     return model, diagnostics

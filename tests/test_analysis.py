@@ -373,9 +373,20 @@ def test_threshold_mode_validation():
             ThresholdMode.top_k(k)
     with pytest.raises(ValueError):
         ThresholdMode.absolute(-1)
+    for flag in (True, False):
+        with pytest.raises(ValueError,
+                           match=rf"^absolute needs a number t, got {flag}$"):
+            ThresholdMode.absolute(flag)
     assert str(ThresholdMode.mean()) == "mean"
     assert str(ThresholdMode.top_k(3)) == "top_k(3)"
     assert str(ThresholdMode.absolute(2)) == "absolute(2)"
+
+
+def test_unknown_threshold_mode_is_refused(library_model):
+    matrix = build_traceability_matrix(library_model)
+    with pytest.raises(ValueError,
+                       match=r"^unknown threshold mode: 'bogus'$"):
+        rank_criticality(matrix, ThresholdMode("bogus"))
 
 
 def test_absolute_accepts_floats_exactly():

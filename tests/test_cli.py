@@ -1,6 +1,5 @@
 """Command behavior, exit codes and stream discipline of the CLI."""
 
-import functools
 import io
 import os
 import random
@@ -267,6 +266,11 @@ def test_critical_top_k_mode():
                         "critical: usability\n")
 
 
+@pytest.mark.parametrize("command", ["critical", "report"])
+def test_mean_mode_is_the_default(command):
+    assert run_cli([command, "--mode", "mean", ATM]) == run_cli([command, ATM])
+
+
 def test_critical_absolute_mode():
     _, out, _ = run_cli(["critical", "--mode", "absolute=2", LIBRARY])
     assert out.endswith(
@@ -439,6 +443,11 @@ def test_bad_usage_exits_64(argv):
     ("absolute=1/0", "zero denominator in 'absolute=1/0'"),
     ("absolute=nan", "Invalid literal for Fraction: 'nan'"),
     ("absolute=-2", "absolute threshold must be >= 0, got -2"),
+    # K and T are ASCII with no blanks or '_', on every Python version.
+    *((text, f"expected mean, top_k=K or absolute=T, got {text!r}")
+      for text in ("top_k=1_0", "top_k=\u0661", "top_k= 1", "top_k=1\t",
+                   "absolute=\u0662/\u0663", "absolute=1 / 2",
+                   "absolute=1/2 ", "absolute=1_000")),
 ])
 def test_bad_mode_says_why(mode, reason):
     code, out, err = run_cli(["critical", "--mode", mode, "x.nfr4"])
@@ -499,10 +508,7 @@ def _mutated_model_text(rng):
     return "\n".join(lines) + "\n"
 
 
-def test_fuzzed_files_through_every_command(tmp_path, monkeypatch):
-    # Building the argparse parser is most of an in-process run; one
-    # parser serves every run here.
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_fuzzed_files_through_every_command(tmp_path):
     rng = random.Random(808)
     codes = set()
     for number in range(200):

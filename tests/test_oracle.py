@@ -15,8 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from nfr4 import cli
-
 from support import run_cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -76,10 +74,8 @@ def diagnostics_of(stderr):
 
 
 @pytest.mark.parametrize("name", SIZES)
-def test_cli_agrees_with_the_benchmark_oracle(name, monkeypatch):
+def test_cli_agrees_with_the_benchmark_oracle(name):
     workloads, checks = oracle()
-    # Building the argparse parser is most of an in-process run.
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     for seed in range(100):
         text, expected = workloads.generate(name, seed, SIZES[name])
         for command, argv in COMMANDS.items():
