@@ -1,9 +1,11 @@
 """Command line front end.
 
 Commands: check, metrics, matrix, critical, report.  Human output goes
-to stdout, in UTF-8 whatever the locale; diagnostics and errors go to
-stderr.  ``matrix`` and ``report`` write their output line by line as
-it is rendered, so a reader that leaves early has received part of it.
+to stdout; diagnostics and errors go to stderr; both are UTF-8 whatever
+the locale.  Stdout is written in one place, by ``main``, from the lines
+``_output`` returns once the gate and the analysis have run.  ``matrix``
+and ``report`` render those lines as they are written, so a reader that
+leaves early has received part of it.
 Exit codes: 0 success (warnings pass unless --strict), 1 check failed,
 2 model invalid for analysis, 3 analysis precondition violated (e.g. no
 NFRs), 64 bad usage, 141 stdout closed before all the output was
@@ -20,8 +22,9 @@ import functools
 import io
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .analysis import (
@@ -34,7 +37,7 @@ from .analysis import (
     score_checklist,
 )
 from .dsl import parse
-from .model import Diagnostic, Model, validate_structure
+from .model import validate_structure
 from .report import (
     build_bundle,
     iter_json,
@@ -93,7 +96,18 @@ def _parse_mode(text: str) -> ThresholdMode:
         if text.startswith("top_k=") and plain:
             return ThresholdMode.top_k(int(value))
         if text.startswith("absolute=") and plain:
-            return ThresholdMode.absolute(Fraction(value))
+            # Fraction() computes 10**exponent before T can be looked at,
+            # and str() refuses an int of more than 4300 digits.
+            exponent = value.lower().partition("e")[2].lstrip("+-")
+            if exponent.isdigit() and float(exponent) > 4300:
+                raise argparse.ArgumentTypeError(
+                    f"exponent of {text!r} is above 4300 in magnitude")
+            threshold = Fraction(value)
+            if max(abs(threshold.numerator),
+                   threshold.denominator) >= 10 ** 4300:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} needs more than 4300 digits to print")
+            return ThresholdMode.absolute(threshold)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"zero denominator in {text!r}") from None
@@ -109,12 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Four-layer NFR model analysis")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str,
-                    handler: Callable[[argparse.Namespace], int]
-                    ) -> argparse.ArgumentParser:
+    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("input", help="model file, or - for stdin")
-        sub.set_defaults(handler=handler)
         return sub
 
     def add_mode(sub: argparse.ArgumentParser) -> None:
@@ -122,41 +133,41 @@ def build_parser() -> argparse.ArgumentParser:
                          default=ThresholdMode.mean(),
                          help="critical threshold: mean, top_k=K or absolute=T")
 
-    check = add_command("check", "parse and lint a model", _cmd_check)
+    check = add_command("check", "parse and lint a model")
     check.add_argument("--strict", action="store_true",
                        help="treat warnings as errors")
 
-    add_command("metrics", "print completeness and validation metrics",
-                _cmd_metrics)
+    add_command("metrics", "print completeness and validation metrics")
 
-    matrix = add_command("matrix", "print the NFR x goal traceability table",
-                         _cmd_ranking)
+    matrix = add_command("matrix", "print the NFR x goal traceability table")
     add_mode(matrix)
     matrix.add_argument("--legend", action=argparse.BooleanOptionalAction,
                         default=True, help="append the goal legend")
 
-    add_mode(add_command("critical", "print NFR scores and the critical set",
-                         _cmd_ranking))
+    add_mode(add_command("critical", "print NFR scores and the critical set"))
 
-    report = add_command("report", "print the full analysis report",
-                         _cmd_report)
+    report = add_command("report", "print the full analysis report")
     report.add_argument("--format", choices=("text", "markdown", "json"),
                         default="text")
     add_mode(report)
     return parser
 
 
-def _load_gated(path: str,
-                failure_code: int) -> tuple[Model, list[Diagnostic]]:
-    """Read, parse and lint the input, or exit with ``failure_code``.
+def _output(args: argparse.Namespace) -> Iterable[str]:
+    """Read, parse and lint the input, run the command's analysis and
+    return the lines it prints, or exit with the command's failure code.
 
     Parse errors and diagnostics go to stderr, one write for each gate;
-    error-severity diagnostics refuse the model.
+    error-severity diagnostics refuse the model, and ``check --strict``
+    refuses it on any diagnostic.  The gate and the analysis finish
+    before this returns, so a refusal comes before any stdout.
     """
-    where = "<stdin>" if path == "-" else path
+    failure_code = (EXIT_CHECK_FAILED if args.command == "check"
+                    else EXIT_INVALID_MODEL)
+    where = "<stdin>" if args.input == "-" else args.input
     try:
-        if path != "-":
-            raw = Path(path).read_bytes()
+        if args.input != "-":
+            raw = Path(args.input).read_bytes()
         elif sys.stdin is None:  # fd 0 was closed at launch
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
@@ -174,48 +185,27 @@ def _load_gated(path: str,
     sys.stderr.write("".join(
         f"{where}{f':{d.source_line}' if d.source_line else ''}:"
         f" {d.severity} {d.rule_id}: {d.message}\n" for d in diagnostics))
-    if any(d.severity == "error" for d in diagnostics):
+    if any(d.severity == "error" for d in diagnostics) \
+            or diagnostics and args.command == "check" and args.strict:
         sys.exit(failure_code)
-    return model, diagnostics
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    _, diagnostics = _load_gated(args.input, EXIT_CHECK_FAILED)
-    return EXIT_CHECK_FAILED if diagnostics and args.strict else EXIT_OK
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    model, _ = _load_gated(args.input, EXIT_INVALID_MODEL)
-    print(mcr_line(compute_mcr(model)))
-    print(validation_line(score_checklist(model)))
-    return EXIT_OK
-
-
-def _cmd_ranking(args: argparse.Namespace) -> int:
-    """``matrix`` prints the ranked table, ``critical`` the scores."""
-    model, diagnostics = _load_gated(args.input, EXIT_INVALID_MODEL)
+    if args.command == "check":
+        return ()
+    if args.command == "metrics":
+        return (f"{mcr_line(compute_mcr(model))}\n",
+                f"{validation_line(score_checklist(model))}\n")
+    if args.command == "report":
+        bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
+        if args.format == "json":
+            return chain(iter_json(bundle), "\n")
+        return iter_summary(bundle, args.format)
     matrix = build_traceability_matrix(model, diagnostics=diagnostics)
     criticality = rank_criticality(matrix, args.mode)
     if args.command == "matrix":
-        sys.stdout.writelines(
-            iter_matrix_table(matrix, criticality, legend=args.legend))
-        return EXIT_OK
-    for nfr_id, score in zip(criticality.nfr_ids, criticality.scores):
-        print(f"{nfr_id}: {score}")
-    print(threshold_line(criticality))
-    print(f"critical: {', '.join(criticality.critical)}".rstrip())
-    return EXIT_OK
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    model, diagnostics = _load_gated(args.input, EXIT_INVALID_MODEL)
-    bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
-    if args.format == "json":
-        sys.stdout.writelines(iter_json(bundle))
-        print()
-    else:
-        sys.stdout.writelines(iter_summary(bundle, args.format))
-    return EXIT_OK
+        return iter_matrix_table(matrix, criticality, legend=args.legend)
+    return [*(f"{nfr_id}: {score}\n" for nfr_id, score
+              in zip(criticality.nfr_ids, criticality.scores)),
+            f"{threshold_line(criticality)}\n",
+            f"critical: {', '.join(criticality.critical)}".rstrip() + "\n"]
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -233,9 +223,13 @@ def main(argv: list[str] | None = None) -> None:
         # in blocks even under PYTHONUNBUFFERED: a streamed report is
         # thousands of short lines, one write call each otherwise.
         sys.stdout.reconfigure(encoding="utf-8", write_through=False)
+    if isinstance(sys.stderr, io.TextIOWrapper):
+        # UTF-8 as well, with the buffering left as it is.  A path from
+        # argv may hold bytes that do not decode; they are escaped.
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
+    code = EXIT_OK
     try:
-        args = build_parser().parse_args(argv)
-        code = args.handler(args)
+        sys.stdout.writelines(_output(build_parser().parse_args(argv)))
         sys.stdout.flush()
     except (EmptyModelError, EmptyMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from nfr4.report import (
     export_json,
     render_matrix_table,
     render_summary,
+    threshold_line,
 )
 
 from support import fuzz_line, mutate, random_model, run_cli, wide_model_text
@@ -348,6 +349,11 @@ def test_report_and_matrix_stream_their_output(model_file):
         (["report", "--format", "markdown"], render_summary(bundle, "markdown")),
         (["report", "--format", "json"], export_json(bundle) + "\n"),
         (["matrix"], render_matrix_table(bundle.matrix, bundle.criticality)),
+        (["critical"], "".join(
+            [*(f"{nfr_id}: {score}\n" for nfr_id, score in zip(
+                bundle.criticality.nfr_ids, bundle.criticality.scores)),
+             f"{threshold_line(bundle.criticality)}\n",
+             f"critical: {', '.join(bundle.criticality.critical)}\n"])),
     ):
         out, err = _RecordingStdout(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), \
@@ -355,7 +361,12 @@ def test_report_and_matrix_stream_their_output(model_file):
             cli.main([*argv, path])
         assert (exit_info.value.code, err.getvalue()) == (0, ""), argv
         assert "".join(out.writes) == expected, argv
-        assert max(map(len, out.writes)) < 0.05 * len(expected), argv
+        if argv == ["critical"]:
+            # Its last line names every critical NFR, a large share of
+            # the output; it goes line by line all the same.
+            assert out.writes == expected.splitlines(keepends=True)
+        else:
+            assert max(map(len, out.writes)) < 0.05 * len(expected), argv
 
 
 class _CountingBytesIO(io.BytesIO):
@@ -448,6 +459,11 @@ def test_bad_usage_exits_64(argv):
       for text in ("top_k=1_0", "top_k=\u0661", "top_k= 1", "top_k=1\t",
                    "absolute=\u0662/\u0663", "absolute=1 / 2",
                    "absolute=1/2 ", "absolute=1_000")),
+    # Fraction() would compute 10**exponent, and str() could not print T.
+    *((text, f"exponent of {text!r} is above 4300 in magnitude")
+      for text in ("absolute=1e5000", "absolute=1e-5000", "absolute=1e99999")),
+    ("absolute=123e4299", "'absolute=123e4299' needs more than 4300 digits"
+     " to print"),
 ])
 def test_bad_mode_says_why(mode, reason):
     code, out, err = run_cli(["critical", "--mode", mode, "x.nfr4"])
@@ -634,6 +650,7 @@ def test_closed_stdout_exits_141_quietly(launcher):
         # fd 1 closed at launch (`>&-`) is a reader gone before the start;
         # check writes nothing to stdout, so it keeps its own exit code.
         for argv, code in ((["metrics", LIBRARY], 141),
+                           (["critical", LIBRARY], 141),
                            (["report", "--format", "json", LIBRARY], 141),
                            (["check", LIBRARY], 0)):
             proc = launch(launcher, argv, buffering,
@@ -682,3 +699,12 @@ def test_output_is_utf8_whatever_the_locale(launcher, model_file):
             proc = launch(launcher, argv, {"PYTHONIOENCODING": encoding})
             assert (proc.returncode, proc.stdout, proc.stderr) \
                 == (0, utf8.stdout, utf8.stderr), (argv, encoding)
+    # stderr too: the parse error quotes the input line.
+    bad = model_file('system "S"\nstakeholder \u00e9 "x"\n', "bad.nfr4")
+    utf8 = launch(launcher, ["check", bad], {"PYTHONIOENCODING": "utf-8"})
+    assert utf8.returncode == 1
+    assert "\u00e9".encode() in utf8.stderr
+    for encoding in ("ascii", "latin-1"):
+        proc = launch(launcher, ["check", bad], {"PYTHONIOENCODING": encoding})
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (1, b"", utf8.stderr), encoding

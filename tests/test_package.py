@@ -20,6 +20,7 @@ def loaded():
                   if name == "nfr4" or name.startswith("nfr4."))
 
 steps = {}
+before = set(sys.modules)
 import nfr4
 steps["nfr4"] = loaded()
 public = sorted(name for name in vars(nfr4) if not name.startswith("_"))
@@ -27,7 +28,10 @@ import nfr4.dsl
 steps["nfr4.dsl"] = loaded()
 import nfr4.cli
 steps["nfr4.cli"] = loaded()
-print(json.dumps({"steps": steps, "public": public}))
+foreign = sorted(name for name in set(sys.modules) - before
+                 if name.partition(".")[0] != "nfr4"
+                 and name.partition(".")[0] not in sys.stdlib_module_names)
+print(json.dumps({"steps": steps, "public": public, "foreign": foreign}))
 """
 
 
@@ -42,6 +46,8 @@ def test_import_graph_loads_only_what_each_step_needs():
     steps = found["steps"]
     assert steps["nfr4"] == ["nfr4"]
     assert found["public"] == []
+    # Dependency-free: importing the CLI loads only nfr4 and the stdlib.
+    assert found["foreign"] == []
     assert steps["nfr4.dsl"] == ["nfr4", "nfr4.dsl", "nfr4.model"]
     # perfbench/tracer.py looks these up in sys.modules after importing
     # the CLI.
