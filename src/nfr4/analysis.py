@@ -20,8 +20,9 @@ from .model import (
     validate_structure,
 )
 
-VALIDATED_CORRECT = "validated-correct"
-NOT_YET_VALIDATED = "not-yet-validated"
+# str() prints an int of at most this many digits by default.  Fixed,
+# so that every process accepts the same absolute thresholds.
+MAX_THRESHOLD_DIGITS = 4300
 
 
 class EmptyModelError(ValueError):
@@ -43,17 +44,6 @@ class InvalidModelError(ValueError):
             f" (first: {first})")
 
 
-def derive_status(nfr: Nfr) -> str:
-    """An NFR is validated-correct only when all eight answers are yes.
-
-    Anything less -- an unanswered slot or a single no -- leaves it
-    not-yet-validated; a "no" marks open work, not a verdict.
-    """
-    if nfr.checklist.yes_count == CHECKLIST_SIZE:
-        return VALIDATED_CORRECT
-    return NOT_YET_VALIDATED
-
-
 @dataclass(frozen=True, slots=True)
 class CompletenessResult:
     n_c: int
@@ -65,11 +55,12 @@ def compute_mcr(model: Model) -> CompletenessResult:
     """Metric for completeness: validated NFRs over all NFRs.
 
     MCR = n_c / (n_c + n_nv), where n_c counts NFRs whose checklist is
-    fully answered yes and n_nv counts the rest.
+    fully answered yes and n_nv counts the rest: an unanswered slot or a
+    single no leaves an NFR not yet validated.
     """
     if not model.nfrs:
         raise EmptyModelError("model has no NFRs; MCR is undefined")
-    n_c = sum(1 for n in model.nfrs if derive_status(n) == VALIDATED_CORRECT)
+    n_c = sum(1 for n in model.nfrs if n.checklist.yes_count == CHECKLIST_SIZE)
     n_nv = len(model.nfrs) - n_c
     return CompletenessResult(n_c, n_nv, Fraction(n_c, n_c + n_nv))
 
@@ -191,8 +182,12 @@ class ThresholdMode:
             raise ValueError(f"absolute needs a number t, got {threshold!r}")
         value = Fraction(str(threshold)) if isinstance(threshold, float) \
             else Fraction(threshold)
+        if max(abs(value.numerator),
+               value.denominator) >= 10 ** MAX_THRESHOLD_DIGITS:
+            raise ValueError("absolute threshold needs more than"
+                             f" {MAX_THRESHOLD_DIGITS} digits to print")
         if value < 0:
-            raise ValueError(f"absolute threshold must be >= 0, got {threshold}")
+            raise ValueError(f"absolute threshold must be >= 0, got {value}")
         return cls("absolute", value)
 
     def __str__(self) -> str:

@@ -23,13 +23,13 @@ import io
 import os
 import sys
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 from .analysis import (
     EmptyMatrixError,
     EmptyModelError,
+    MAX_THRESHOLD_DIGITS,
     ThresholdMode,
     build_traceability_matrix,
     compute_mcr,
@@ -96,18 +96,14 @@ def _parse_mode(text: str) -> ThresholdMode:
         if text.startswith("top_k=") and plain:
             return ThresholdMode.top_k(int(value))
         if text.startswith("absolute=") and plain:
-            # Fraction() computes 10**exponent before T can be looked at,
-            # and str() refuses an int of more than 4300 digits.
+            # Fraction() computes 10**exponent before absolute() can
+            # refuse a T of too many digits, however long that takes.
             exponent = value.lower().partition("e")[2].lstrip("+-")
-            if exponent.isdigit() and float(exponent) > 4300:
+            if exponent.isdigit() and float(exponent) > MAX_THRESHOLD_DIGITS:
                 raise argparse.ArgumentTypeError(
-                    f"exponent of {text!r} is above 4300 in magnitude")
-            threshold = Fraction(value)
-            if max(abs(threshold.numerator),
-                   threshold.denominator) >= 10 ** 4300:
-                raise argparse.ArgumentTypeError(
-                    f"{text!r} needs more than 4300 digits to print")
-            return ThresholdMode.absolute(threshold)
+                    f"exponent of {text!r} is above {MAX_THRESHOLD_DIGITS}"
+                    " in magnitude")
+            return ThresholdMode.absolute(value)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"zero denominator in {text!r}") from None

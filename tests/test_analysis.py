@@ -10,13 +10,10 @@ from nfr4.analysis import (
     EmptyMatrixError,
     EmptyModelError,
     InvalidModelError,
-    NOT_YET_VALIDATED,
     ThresholdMode,
     TraceabilityMatrix,
-    VALIDATED_CORRECT,
     build_traceability_matrix,
     compute_mcr,
-    derive_status,
     rank_criticality,
     score_checklist,
     score_nfr,
@@ -47,28 +44,19 @@ def model_of(answer_rows):
         nfr_with(row, f"n{i}") for i, row in enumerate(answer_rows)))
 
 
-# ----------------------------------------------------------------- status
-
-
-def test_all_yes_is_validated_correct():
-    assert derive_status(nfr_with(ALL_YES)) == VALIDATED_CORRECT
-
-
-def test_unanswered_slot_blocks_validation():
-    assert derive_status(nfr_with(("yes",) * 7 + ("unanswered",))) \
-        == NOT_YET_VALIDATED
-
-
-def test_no_answer_blocks_validation():
-    assert derive_status(nfr_with(("yes",) * 7 + ("no",))) \
-        == NOT_YET_VALIDATED
-
-
-def test_blank_checklist_is_not_validated():
-    assert derive_status(Nfr("n", "N")) == NOT_YET_VALIDATED
-
-
 # -------------------------------------------------------------------- mcr
+
+
+@pytest.mark.parametrize("answers, counts", [
+    (ALL_YES, (1, 0)),
+    (("yes",) * 7 + ("unanswered",), (0, 1)),
+    (("yes",) * 7 + ("no",), (0, 1)),
+    (("unanswered",) * CHECKLIST_SIZE, (0, 1)),
+], ids=["all-yes", "one-unanswered", "one-no", "blank"])
+def test_only_an_all_yes_checklist_is_validated(answers, counts):
+    # An unanswered slot or a single no leaves the NFR not yet validated.
+    result = compute_mcr(model_of([answers]))
+    assert (result.n_c, result.n_nv) == counts
 
 
 def test_library_mcr_is_complete(library_model):
@@ -380,6 +368,18 @@ def test_threshold_mode_validation():
     assert str(ThresholdMode.mean()) == "mean"
     assert str(ThresholdMode.top_k(3)) == "top_k(3)"
     assert str(ThresholdMode.absolute(2)) == "absolute(2)"
+
+
+def test_absolute_refuses_a_threshold_that_cannot_be_printed():
+    # str() prints an int of at most 4300 digits, in every process.
+    largest = 10 ** 4300 - 1
+    mode = ThresholdMode.absolute(largest)
+    assert str(mode) == f"absolute({largest})"
+    for threshold in (10 ** 4300, Fraction(1, 10 ** 4300), -10 ** 5000,
+                      "123e4299"):
+        with pytest.raises(ValueError, match=r"^absolute threshold needs"
+                           r" more than 4300 digits to print$"):
+            ThresholdMode.absolute(threshold)
 
 
 def test_unknown_threshold_mode_is_refused(library_model):

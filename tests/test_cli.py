@@ -287,6 +287,13 @@ def test_critical_absolute_mode_prints_huge_thresholds():
         "critical:\n")
 
 
+def test_critical_absolute_mode_takes_a_zero_at_the_exponent_bound():
+    # 0e4300 is 0, while 1e4300 needs 4301 digits and exits 64.
+    code, out, err = run_cli(["critical", "--mode", "absolute=0e4300", ATM])
+    assert (code, err) == (0, "")
+    assert "threshold (absolute(0)): 0.0000\n" in out
+
+
 def test_critical_empty_set_renders_bare_label(model_file):
     code, out, _ = run_cli(["critical", model_file(FLAT_TEXT)])
     assert code == 0
@@ -462,8 +469,8 @@ def test_bad_usage_exits_64(argv):
     # Fraction() would compute 10**exponent, and str() could not print T.
     *((text, f"exponent of {text!r} is above 4300 in magnitude")
       for text in ("absolute=1e5000", "absolute=1e-5000", "absolute=1e99999")),
-    ("absolute=123e4299", "'absolute=123e4299' needs more than 4300 digits"
-     " to print"),
+    *((text, "absolute threshold needs more than 4300 digits to print")
+      for text in ("absolute=123e4299", "absolute=1e4300")),
 ])
 def test_bad_mode_says_why(mode, reason):
     code, out, err = run_cli(["critical", "--mode", mode, "x.nfr4"])

@@ -1,6 +1,8 @@
-"""The package's import graph: ``import nfr4`` binds nothing, and each
-submodule loads only the modules it needs."""
+"""The package's import graph: ``import nfr4`` binds nothing, each
+submodule loads only the modules it needs, and uses every name it
+imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -53,3 +55,20 @@ def test_import_graph_loads_only_what_each_step_needs():
     # the CLI.
     assert {"nfr4.analysis", "nfr4.dsl", "nfr4.model",
             "nfr4.report"} <= set(steps["nfr4.cli"])
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(Path(PACKAGE_ROOT, "nfr4").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ``import a.b`` binds ``a``; ``__future__`` imports bind nothing.
+        imported = {alias.asname or alias.name.partition(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -30,6 +30,7 @@ from nfr4.report import (
     build_bundle,
     export_json,
     format_ratio,
+    iter_json,
     iter_matrix_table,
     iter_summary,
     mcr_line,
@@ -438,6 +439,53 @@ def test_streamed_renderers_refuse_before_their_first_piece(library_model):
                    iter_matrix_table(empty, bundle.criticality)):
         with pytest.raises(ValueError):
             next(pieces)
+
+
+def threshold_modes(n_nfrs):
+    """Every mode kind: top_k up to one past the NFRs, and absolute
+    thresholds up to past the largest that prints, where accepted."""
+    yield ThresholdMode.mean()
+    for k in range(1, n_nfrs + 2):
+        yield ThresholdMode.top_k(k)
+    for threshold in (0, 1, 10 ** 4300 - 1, 10 ** 4300, 10 ** 5000):
+        try:
+            mode = ThresholdMode.absolute(threshold)
+        except ValueError:
+            continue
+        yield mode
+
+
+def test_streamed_renderers_refuse_first_or_run_to_the_end():
+    """For every mode the factories build, each streamed renderer refuses
+    before its first piece or runs to the end, so a caller writing the
+    pieces as they come never leaves a cut-short document."""
+    rng = random.Random(16)
+    models = [hostile_model(), hostile_model(flat=True)]
+    models += [random_model(rng, for_serialization=i % 2 == 0)
+               for i in range(200)]
+    cut_short = []
+    for index, model in enumerate(models):
+        for mode in threshold_modes(len(model.nfrs)):
+            try:
+                bundle = build_bundle(model, mode)
+            except EmptyModelError:
+                continue
+            for name, pieces in (
+                    ("text", iter_summary(bundle)),
+                    ("markdown", iter_summary(bundle, "markdown")),
+                    ("json", iter_json(bundle)),
+                    ("table", iter_matrix_table(bundle.matrix,
+                                                bundle.criticality))):
+                try:
+                    next(pieces)
+                except ValueError:
+                    continue
+                try:
+                    for _ in pieces:
+                        pass
+                except ValueError:
+                    cut_short.append((index, mode.kind, name))
+    assert cut_short == []
 
 
 def test_summary_strips_the_newlines_that_end_the_table():
