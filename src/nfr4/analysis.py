@@ -21,8 +21,14 @@ from .model import (
 )
 
 # str() prints an int of at most this many digits by default.  Fixed,
-# so that every process accepts the same absolute thresholds.
+# so that every process accepts the same thresholds.
 MAX_THRESHOLD_DIGITS = 4300
+
+
+def _refuse_unprintable(what: str, n: Fraction | int) -> None:
+    if max(abs(n.numerator), n.denominator) >= 10 ** MAX_THRESHOLD_DIGITS:
+        raise ValueError(f"{what} needs more than {MAX_THRESHOLD_DIGITS}"
+                         " digits to print")
 
 
 class EmptyModelError(ValueError):
@@ -172,6 +178,7 @@ class ThresholdMode:
     def top_k(cls, k: int) -> ThresholdMode:
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"top_k needs an integer k, got {k!r}")
+        _refuse_unprintable("top_k's k", k)
         if k < 1:
             raise ValueError(f"top_k needs k >= 1, got {k}")
         return cls("top_k", k)
@@ -180,12 +187,21 @@ class ThresholdMode:
     def absolute(cls, threshold) -> ThresholdMode:
         if isinstance(threshold, bool):
             raise ValueError(f"absolute needs a number t, got {threshold!r}")
-        value = Fraction(str(threshold)) if isinstance(threshold, float) \
-            else Fraction(threshold)
-        if max(abs(value.numerator),
-               value.denominator) >= 10 ** MAX_THRESHOLD_DIGITS:
-            raise ValueError("absolute threshold needs more than"
-                             f" {MAX_THRESHOLD_DIGITS} digits to print")
+        if isinstance(threshold, str):
+            # Fraction() computes 10**exponent first, however long that takes.
+            # The exponent may hold blanks, a sign, '_' and any decimal digits.
+            exponent = threshold.lower().partition("e")[2]
+            exponent = exponent.strip().lstrip("+-").replace("_", "")
+            if exponent.isdecimal() and float(exponent) > MAX_THRESHOLD_DIGITS:
+                raise ValueError("absolute threshold has an exponent above"
+                                 f" {MAX_THRESHOLD_DIGITS} in magnitude")
+        try:
+            value = Fraction(str(threshold)) if isinstance(threshold, float) \
+                else Fraction(threshold)
+        except (ArithmeticError, TypeError):  # '1/0', Decimal('inf'), None
+            raise ValueError(
+                f"absolute needs a number t, got {threshold!r}") from None
+        _refuse_unprintable("absolute threshold", value)
         if value < 0:
             raise ValueError(f"absolute threshold must be >= 0, got {value}")
         return cls("absolute", value)

@@ -29,7 +29,6 @@ from pathlib import Path
 from .analysis import (
     EmptyMatrixError,
     EmptyModelError,
-    MAX_THRESHOLD_DIGITS,
     ThresholdMode,
     build_traceability_matrix,
     compute_mcr,
@@ -96,17 +95,7 @@ def _parse_mode(text: str) -> ThresholdMode:
         if text.startswith("top_k=") and plain:
             return ThresholdMode.top_k(int(value))
         if text.startswith("absolute=") and plain:
-            # Fraction() computes 10**exponent before absolute() can
-            # refuse a T of too many digits, however long that takes.
-            exponent = value.lower().partition("e")[2].lstrip("+-")
-            if exponent.isdigit() and float(exponent) > MAX_THRESHOLD_DIGITS:
-                raise argparse.ArgumentTypeError(
-                    f"exponent of {text!r} is above {MAX_THRESHOLD_DIGITS}"
-                    " in magnitude")
             return ThresholdMode.absolute(value)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(
-            f"zero denominator in {text!r}") from None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(

@@ -1,6 +1,9 @@
 """Completeness metric, checklist scoring, matrix derivation, criticality."""
 
 import random
+import re
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -361,10 +364,11 @@ def test_threshold_mode_validation():
             ThresholdMode.top_k(k)
     with pytest.raises(ValueError):
         ThresholdMode.absolute(-1)
-    for flag in (True, False):
-        with pytest.raises(ValueError,
-                           match=rf"^absolute needs a number t, got {flag}$"):
-            ThresholdMode.absolute(flag)
+    # Every refusal is a ValueError, whatever Fraction() would raise.
+    for t in (True, False, None, 1j, Decimal("Infinity")):
+        with pytest.raises(ValueError, match=r"^absolute needs a number t,"
+                           rf" got {re.escape(repr(t))}$"):
+            ThresholdMode.absolute(t)
     assert str(ThresholdMode.mean()) == "mean"
     assert str(ThresholdMode.top_k(3)) == "top_k(3)"
     assert str(ThresholdMode.absolute(2)) == "absolute(2)"
@@ -375,11 +379,41 @@ def test_absolute_refuses_a_threshold_that_cannot_be_printed():
     largest = 10 ** 4300 - 1
     mode = ThresholdMode.absolute(largest)
     assert str(mode) == f"absolute({largest})"
+    # The largest exponent that can print is taken.
+    assert ThresholdMode.absolute("0e4300").parameter == 0
     for threshold in (10 ** 4300, Fraction(1, 10 ** 4300), -10 ** 5000,
                       "123e4299"):
         with pytest.raises(ValueError, match=r"^absolute threshold needs"
                            r" more than 4300 digits to print$"):
             ThresholdMode.absolute(threshold)
+
+
+EXPONENT_ABOVE = "absolute threshold has an exponent above 4300 in magnitude"
+
+
+@pytest.mark.parametrize("threshold, reason", [
+    *((text, EXPONENT_ABOVE)
+      for text in ("1e3000000", "1E+3_000_000", " 1e3000000 ",
+                   "1e\u0663" + "\u0660" * 6, "1.5e-3000000", "0e3000000",
+                   "1e10_000_000", "\u20031e-3000000\u2003")),
+    ("1/0", "absolute needs a number t, got '1/0'"),
+])
+def test_absolute_refuses_a_costly_or_undefined_text_fast(threshold, reason):
+    # Fraction() would compute 10**exponent first, for seconds.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        ThresholdMode.absolute(threshold)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_top_k_refuses_a_k_that_cannot_be_printed():
+    # The same fixed bound as absolute's, in every process.
+    largest = 10 ** 4300 - 1
+    assert ThresholdMode.top_k(largest).parameter == largest
+    for k in (10 ** 4300, 10 ** 5000, -10 ** 5000):
+        with pytest.raises(ValueError, match=r"^top_k's k needs more than"
+                           r" 4300 digits to print$"):
+            ThresholdMode.top_k(k)
 
 
 def test_unknown_threshold_mode_is_refused(library_model):

@@ -442,17 +442,19 @@ def test_streamed_renderers_refuse_before_their_first_piece(library_model):
 
 
 def threshold_modes(n_nfrs):
-    """Every mode kind: top_k up to one past the NFRs, and absolute
-    thresholds up to past the largest that prints, where accepted."""
+    """Every mode kind: top_k up to one past the NFRs, and top_k and
+    absolute parameters up to past the largest that prints, where
+    accepted."""
     yield ThresholdMode.mean()
     for k in range(1, n_nfrs + 2):
         yield ThresholdMode.top_k(k)
-    for threshold in (0, 1, 10 ** 4300 - 1, 10 ** 4300, 10 ** 5000):
-        try:
-            mode = ThresholdMode.absolute(threshold)
-        except ValueError:
-            continue
-        yield mode
+    for factory in (ThresholdMode.top_k, ThresholdMode.absolute):
+        for parameter in (0, 1, 10 ** 4300 - 1, 10 ** 4300, 10 ** 5000):
+            try:
+                mode = factory(parameter)
+            except ValueError:
+                continue
+            yield mode
 
 
 def test_streamed_renderers_refuse_first_or_run_to_the_end():
