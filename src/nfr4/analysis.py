@@ -29,6 +29,7 @@ def _refuse_unprintable(what: str, n: Fraction | int) -> None:
     if max(abs(n.numerator), n.denominator) >= 10 ** MAX_THRESHOLD_DIGITS:
         raise ValueError(f"{what} needs more than {MAX_THRESHOLD_DIGITS}"
                          " digits to print")
+    str(n)  # raises here, not mid-render, under a lower int digit limit
 
 
 class EmptyModelError(ValueError):
@@ -185,20 +186,20 @@ class ThresholdMode:
 
     @classmethod
     def absolute(cls, threshold) -> ThresholdMode:
-        if isinstance(threshold, bool):
-            raise ValueError(f"absolute needs a number t, got {threshold!r}")
-        if isinstance(threshold, str):
+        # An int or a Fraction is taken as it is; any other t, as its text.
+        value = threshold
+        if type(threshold) not in (int, Fraction):
             # Fraction() computes 10**exponent first, however long that takes.
             # The exponent may hold blanks, a sign, '_' and any decimal digits.
-            exponent = threshold.lower().partition("e")[2]
+            value = str(threshold)
+            exponent = value.lower().partition("e")[2]
             exponent = exponent.strip().lstrip("+-").replace("_", "")
             if exponent.isdecimal() and float(exponent) > MAX_THRESHOLD_DIGITS:
                 raise ValueError("absolute threshold has an exponent above"
                                  f" {MAX_THRESHOLD_DIGITS} in magnitude")
         try:
-            value = Fraction(str(threshold)) if isinstance(threshold, float) \
-                else Fraction(threshold)
-        except (ArithmeticError, TypeError):  # '1/0', Decimal('inf'), None
+            value = Fraction(value)
+        except (ArithmeticError, ValueError):  # '1/0', 'nan', 'None'
             raise ValueError(
                 f"absolute needs a number t, got {threshold!r}") from None
         _refuse_unprintable("absolute threshold", value)

@@ -54,8 +54,6 @@ from .model import (
 
 _ID = r"[a-z][a-z0-9_]*"
 _ID_RE = re.compile(_ID + r"\Z")
-# ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects.
-_INDEX_RE = re.compile(r"[0-9]+\Z")
 _KEYWORDS = ("system", "stakeholder", "goal", "subgoal", "nfr", "check")
 _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
 _SLOT = {str(n): n - 1 for n in range(1, CHECKLIST_SIZE + 1)}
@@ -146,8 +144,7 @@ def _parse_line(text: str, lineno: int) -> tuple | ParseError | None:
         if ident.kind != "word" or not _ID_RE.match(ident.text):
             return error("bad-identifier",
                          f"bad identifier '{ident.text}'", ident.column)
-        if index_tok.kind != "word" or not _INDEX_RE.match(index_tok.text) \
-                or not 1 <= int(index_tok.text) <= CHECKLIST_SIZE:
+        if index_tok.kind != "word" or index_tok.text.lstrip("0") not in _SLOT:
             return error("bad-checklist-index",
                          f"checklist question number must be 1..{CHECKLIST_SIZE},"
                          f" got '{index_tok.text}'",

@@ -1,16 +1,24 @@
 import pytest
 
-from nfr4.fixtures import ATM_PATH, LIBRARY_PATH, load_atm, load_library
+from nfr4.dsl import parse
+from nfr4.fixtures import ATM_PATH, LIBRARY_PATH
+from nfr4.model import Model
+
+
+def parse_fixture(path):
+    model = parse(path.read_bytes())
+    assert isinstance(model, Model), model
+    return model
 
 
 @pytest.fixture(scope="session")
 def library_model():
-    return load_library()
+    return parse_fixture(LIBRARY_PATH)
 
 
 @pytest.fixture(scope="session")
 def atm_model():
-    return load_atm()
+    return parse_fixture(ATM_PATH)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -365,7 +366,8 @@ def test_threshold_mode_validation():
     with pytest.raises(ValueError):
         ThresholdMode.absolute(-1)
     # Every refusal is a ValueError, whatever Fraction() would raise.
-    for t in (True, False, None, 1j, Decimal("Infinity")):
+    for t in (True, False, None, 1j, Decimal("Infinity"), Decimal("NaN"),
+              float("inf"), float("nan")):
         with pytest.raises(ValueError, match=r"^absolute needs a number t,"
                            rf" got {re.escape(repr(t))}$"):
             ThresholdMode.absolute(t)
@@ -395,7 +397,9 @@ EXPONENT_ABOVE = "absolute threshold has an exponent above 4300 in magnitude"
     *((text, EXPONENT_ABOVE)
       for text in ("1e3000000", "1E+3_000_000", " 1e3000000 ",
                    "1e\u0663" + "\u0660" * 6, "1.5e-3000000", "0e3000000",
-                   "1e10_000_000", "\u20031e-3000000\u2003")),
+                   "1e10_000_000", "\u20031e-3000000\u2003",
+                   Decimal("1e3000000"), Decimal("1E-3000000"),
+                   Decimal("-1E+3000000"))),
     ("1/0", "absolute needs a number t, got '1/0'"),
 ])
 def test_absolute_refuses_a_costly_or_undefined_text_fast(threshold, reason):
@@ -426,6 +430,22 @@ def test_unknown_threshold_mode_is_refused(library_model):
 def test_absolute_accepts_floats_exactly():
     mode = ThresholdMode.absolute(2.5)
     assert mode.parameter == Fraction(5, 2)
+    assert ThresholdMode.absolute(Decimal("2.5")) == mode \
+        == ThresholdMode.absolute("5/2") \
+        == ThresholdMode.absolute(Fraction(5, 2))
+
+
+def test_modes_are_refused_when_built_if_this_process_cannot_print_them():
+    # Under a lower int digit limit the refusal comes from the mode, not
+    # from a renderer after output has started.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for build in (ThresholdMode.absolute, ThresholdMode.top_k):
+            with pytest.raises(ValueError):
+                build(10 ** 1000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_empty_matrix_is_refused():

@@ -459,7 +459,7 @@ def test_bad_usage_exits_64(argv):
     ("top_k=abc", "invalid literal for int() with base 10: 'abc'"),
     ("top_k=0", "top_k needs k >= 1, got 0"),
     ("absolute=1/0", "absolute needs a number t, got '1/0'"),
-    ("absolute=nan", "Invalid literal for Fraction: 'nan'"),
+    ("absolute=nan", "absolute needs a number t, got 'nan'"),
     ("absolute=-2", "absolute threshold must be >= 0, got -2"),
     # K and T are ASCII with no blanks or '_', on every Python version.
     *((text, f"expected mean, top_k=K or absolute=T, got {text!r}")
@@ -494,6 +494,19 @@ def test_mode_acceptance_does_not_depend_on_the_int_digit_limit(mode):
             for limit in (None, "0")]
     assert runs[1].returncode == runs[0].returncode
     assert runs[1].stdout == runs[0].stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical"], ["matrix"], ["report", "--format", "json"],
+], ids=" ".join)
+def test_a_threshold_this_process_cannot_print_is_refused_up_front(argv):
+    # Under a lower int digit limit a T of 1001 digits is refused when the
+    # mode is built: no output, not a traceback part way through it.
+    proc = launch([sys.executable, "-m", "nfr4.cli"],
+                  [*argv, "--mode", "absolute=1e1000", LIBRARY],
+                  {"PYTHONINTMAXSTRDIGITS": "640"})
+    assert (proc.returncode, proc.stdout) == (64, b"")
+    assert b"Traceback" not in proc.stderr
 
 
 def test_usage_error_does_not_touch_the_input(model_file):

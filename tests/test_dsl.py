@@ -352,7 +352,7 @@ def test_malformed_statement_shapes():
 
 
 def test_checklist_index_bounds():
-    for bad in ("0", "9", "x", "12", "²", "٣"):
+    for bad in ("0", "9", "x", "12", "²", "٣", "00", "+1", "-1", "1_0", "١"):
         errors = errors_of(f'system "T"\ncheck n {bad} yes\n')
         assert [e.kind for e in errors] == ["bad-checklist-index"], bad
     assert errors_of('system "T"\ncheck n 9 yes\n')[0].column == 9

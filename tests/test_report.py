@@ -17,7 +17,8 @@ from nfr4.analysis import (
     build_traceability_matrix,
     rank_criticality,
 )
-from nfr4.fixtures import load_atm, load_library
+from nfr4.dsl import parse
+from nfr4.fixtures import ATM_PATH, LIBRARY_PATH
 from nfr4.model import (
     Goal,
     Model,
@@ -157,7 +158,7 @@ def many_goal_model(rng):
 def bundles_for_oracles():
     """Fixtures, 200 random models that pass validation and 50 with many
     goals, each with a few threshold modes."""
-    models = [load_library(), load_atm()]
+    models = [parse(LIBRARY_PATH.read_bytes()), parse(ATM_PATH.read_bytes())]
     rng = random.Random(505)
     while len(models) < 202:
         model = random_model(rng, for_serialization=len(models) % 2 == 0)
