@@ -6,6 +6,8 @@ text is the report layer's job.
 
 from __future__ import annotations
 
+import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +22,11 @@ from .model import (
     validate_structure,
 )
 
-# str() prints an int of at most this many digits by default.  Fixed,
-# so that every process accepts the same thresholds.
+# str() prints, and int() reads, an int of at most this many digits by
+# default.  Fixed, so that every process accepts the same thresholds.
 MAX_THRESHOLD_DIGITS = 4300
+# The metric of a checklist with k yes answers, built once.
+_EIGHTHS = tuple(Fraction(k, CHECKLIST_SIZE) for k in range(CHECKLIST_SIZE + 1))
 
 
 def _refuse_unprintable(what: str, n: Fraction | int) -> None:
@@ -86,7 +90,7 @@ def score_nfr(nfr: Nfr) -> ChecklistScore:
     """Score one NFR's checklist: its yes-count over eight."""
     record = nfr.checklist
     return ChecklistScore(nfr.id, record.yes_count, record.answered_count,
-                          Fraction(record.yes_count, CHECKLIST_SIZE))
+                          _EIGHTHS[record.yes_count])
 
 
 def score_checklist(model: Model) -> ChecklistScore:
@@ -96,14 +100,11 @@ def score_checklist(model: Model) -> ChecklistScore:
     answered only when every NFR answered it; with zero NFRs both hold
     vacuously.  ``score_nfr`` scores one NFR.
     """
-    yes = 0
-    answered = 0
-    for question in range(CHECKLIST_SIZE):
-        if all(n.checklist.answers[question] == YES for n in model.nfrs):
-            yes += 1
-        if all(n.checklist.answers[question] != UNANSWERED for n in model.nfrs):
-            answered += 1
-    return ChecklistScore(None, yes, answered, Fraction(yes, CHECKLIST_SIZE))
+    answers = [n.checklist.answers for n in model.nfrs]
+    questions = range(CHECKLIST_SIZE)
+    yes = sum(all(a[q] == YES for a in answers) for q in questions)
+    answered = sum(all(a[q] != UNANSWERED for a in answers) for q in questions)
+    return ChecklistScore(None, yes, answered, _EIGHTHS[yes])
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,6 +198,10 @@ class ThresholdMode:
             if exponent.isdecimal() and float(exponent) > MAX_THRESHOLD_DIGITS:
                 raise ValueError("absolute threshold has an exponent above"
                                  f" {MAX_THRESHOLD_DIGITS} in magnitude")
+            if max(map(len, re.findall(r"\d+", value.replace("_", ""))),
+                   default=0) > MAX_THRESHOLD_DIGITS:
+                raise ValueError("absolute threshold has more than"
+                                 f" {MAX_THRESHOLD_DIGITS} digits in a row")
         try:
             value = Fraction(value)
         except (ArithmeticError, ValueError):  # '1/0', 'nan', 'None'
@@ -242,17 +247,19 @@ def rank_criticality(matrix: TraceabilityMatrix,
         raise EmptyMatrixError("traceability matrix has no rows or no columns")
 
     scores = tuple(map(len, matrix.rows))
-    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
     if mode.kind == "mean":
         threshold = Fraction(sum(scores), len(scores))
-        chosen = [i for i in ranked if scores[i] > threshold]
+        cut = math.floor(threshold)  # an int score > threshold iff > cut
+        chosen = [i for i in ranked if scores[i] > cut]
     elif mode.kind == "top_k":
         chosen = ranked[: mode.parameter]
-        threshold = Fraction(min(scores[i] for i in chosen))
+        threshold = Fraction(scores[chosen[-1]])
     elif mode.kind == "absolute":
         threshold = Fraction(mode.parameter)
-        chosen = [i for i in ranked if scores[i] >= threshold]
+        cut = math.ceil(threshold)  # an int score >= threshold iff >= cut
+        chosen = [i for i in ranked if scores[i] >= cut]
     else:
         raise ValueError(f"unknown threshold mode: {mode.kind!r}")
 

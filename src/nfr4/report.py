@@ -80,12 +80,10 @@ def build_bundle(model: Model, mode: ThresholdMode = ThresholdMode.mean(), *,
     if diagnostics is None:
         diagnostics = validate_structure(model)
     completeness = compute_mcr(model)
-    whole = score_checklist(model)
-    per_nfr = tuple(score_nfr(n) for n in model.nfrs)
     matrix = build_traceability_matrix(model, diagnostics=diagnostics)
-    criticality = rank_criticality(matrix, mode)
-    return ReportBundle(model, tuple(diagnostics), completeness, whole,
-                        per_nfr, matrix, criticality)
+    return ReportBundle(model, tuple(diagnostics), completeness,
+                        score_checklist(model), tuple(map(score_nfr, model.nfrs)),
+                        matrix, rank_criticality(matrix, mode))
 
 
 def iter_matrix_table(matrix: TraceabilityMatrix,
@@ -244,15 +242,20 @@ def _json_diagnostic(d: Diagnostic) -> str:
 
 
 def _json_marks_rows(matrix: TraceabilityMatrix) -> Iterator[str]:
-    """One dense ``marks`` row per NFR: a copy of one all-``false``
-    template with the marked goal indices set to ``true``."""
-    falses = ["false"] * len(matrix.goal_ids)
+    """One dense ``marks`` row per NFR: the slices of one all-``false``
+    row text between its marked cells, joined by ``true``."""
+    head, comma, false = "[\n        ", ",\n        ", "false"
+    goals = len(matrix.goal_ids)
+    text = head + comma.join([false] * goals) + "\n      ]" if goals else "[]"
+    offset, step, width = len(head), len(comma) + len(false), len(false)
     for marked in matrix.rows:
-        cells = falses.copy()
+        pieces, end = [], 0
         for j in marked:
-            cells[j] = "true"
-        yield ("[\n        " + ",\n        ".join(cells) + "\n      ]"
-               if cells else "[]")
+            start = offset + j * step
+            pieces.append(text[end:start])
+            end = start + width
+        pieces.append(text[end:])
+        yield "true".join(pieces)
 
 
 def iter_json(bundle: ReportBundle) -> Iterator[str]:

@@ -8,7 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nfr4.analysis import (
     EmptyMatrixError,
@@ -326,6 +326,52 @@ def test_critical_ordering_is_score_then_declaration():
     assert report.critical == ("n3", "n1", "n2", "n0")
 
 
+def oracle_ranking(scores, mode):
+    """Threshold and critical indices by the definition: order by
+    (-score, index), compare each score with the exact Fraction."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    if mode.kind == "mean":
+        threshold = Fraction(sum(scores), len(scores))
+        return threshold, [i for i in order if Fraction(scores[i]) > threshold]
+    if mode.kind == "top_k":
+        chosen = order[:mode.parameter]
+        return Fraction(min(scores[i] for i in chosen)), chosen
+    threshold = Fraction(mode.parameter)
+    return threshold, [i for i in order if Fraction(scores[i]) >= threshold]
+
+
+RANKING_MODES = st.one_of(
+    st.just(ThresholdMode.mean()),
+    st.integers(1, 25).map(ThresholdMode.top_k),
+    st.integers(0, 12).map(ThresholdMode.absolute),
+    st.fractions(0, 12).map(ThresholdMode.absolute),
+)
+
+
+@given(st.lists(st.integers(0, 10), min_size=1, max_size=20), RANKING_MODES)
+# Integer means: a score equal to the mean is not above it.
+@example([3, 3, 3], ThresholdMode.mean())
+@example([1, 2, 3], ThresholdMode.mean())
+@example([0, 4, 2, 2], ThresholdMode.mean())
+@example([2, 3, 2, 3], ThresholdMode.absolute(Fraction(5, 2)))
+@example([0, 0], ThresholdMode.absolute(0))
+def test_ranking_matches_the_exact_oracle(scores, mode):
+    width = max(scores) + 1
+    matrix = TraceabilityMatrix(
+        tuple(f"n{i}" for i in range(len(scores))),
+        tuple(f"N{i}" for i in range(len(scores))),
+        tuple(f"g{j}" for j in range(width)),
+        tuple(f"G{j}" for j in range(width)),
+        tuple(tuple(range(score)) for score in scores),
+    )
+    report = rank_criticality(matrix, mode)
+    threshold, chosen = oracle_ranking(scores, mode)
+    assert report.scores == tuple(scores)
+    assert report.threshold_value == threshold
+    assert type(report.threshold_value) is Fraction
+    assert report.critical == tuple(f"n{i}" for i in chosen)
+
+
 def test_top_k_mode(library_model):
     matrix = build_traceability_matrix(library_model)
     report = rank_criticality(matrix, ThresholdMode.top_k(1))
@@ -410,6 +456,16 @@ def test_absolute_refuses_a_costly_or_undefined_text_fast(threshold, reason):
     assert time.perf_counter() - started < 0.5
 
 
+def test_absolute_reads_many_long_runs_of_digits_fast():
+    # Each run is within the bound; a search for a longer run must not
+    # start again at every digit of every run.
+    text = ("1" * 4300 + "/") * 30
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^absolute needs a number t, got"):
+        ThresholdMode.absolute(text)
+    assert time.perf_counter() - started < 0.5
+
+
 def test_top_k_refuses_a_k_that_cannot_be_printed():
     # The same fixed bound as absolute's, in every process.
     largest = 10 ** 4300 - 1
@@ -425,6 +481,42 @@ def test_unknown_threshold_mode_is_refused(library_model):
     with pytest.raises(ValueError,
                        match=r"^unknown threshold mode: 'bogus'$"):
         rank_criticality(matrix, ThresholdMode("bogus"))
+
+
+@pytest.mark.parametrize("threshold", [
+    "1" * 4301, "1" * 5000, "0" * 4300 + "1", "1/" + "3" * 4301,
+    "1." + "0" * 4301, "1" + "_1" * 4300,
+], ids=["4301 ones", "5000 ones", "4300 zeros and 1", "1/(4301 threes)",
+        "1.(4301 zeros)", "4301 ones with '_'"])
+@pytest.mark.parametrize("limit", [None, 0, 640])
+def test_a_long_run_of_digits_gets_one_reason_under_every_digit_limit(
+        threshold, limit):
+    # Whether int() reads more than 4300 digits in a row depends on the
+    # process's digit limit; the text is refused before int() sees it, for
+    # one reason under every limit, and is not echoed.
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(ValueError, match=r"^absolute threshold has more"
+                           r" than 4300 digits in a row$"):
+            ThresholdMode.absolute(threshold)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("limit", [None, 0])
+def test_runs_of_4300_digits_are_read(limit):
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        assert ThresholdMode.absolute("1/" + "9" * 4300).parameter \
+            == Fraction(1, 10 ** 4300 - 1)
+        assert ThresholdMode.absolute("1." + "0" * 4300).parameter == 1
+        assert ThresholdMode.absolute("0" * 4299 + "2").parameter == 2
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_absolute_accepts_floats_exactly():

@@ -496,6 +496,20 @@ def test_mode_acceptance_does_not_depend_on_the_int_digit_limit(mode):
     assert runs[1].stdout == runs[0].stdout
 
 
+@pytest.mark.parametrize("limit", [None, "0", "640"])
+def test_a_long_run_of_digits_gets_one_short_reason(limit):
+    # Whether int() reads the 5,000 ones depends on the digit limit; the
+    # mode refuses them first, in every process, without echoing them.
+    proc = launch([sys.executable, "-m", "nfr4.cli"],
+                  ["critical", "--mode", "absolute=" + "1" * 5000, LIBRARY],
+                  {"PYTHONINTMAXSTRDIGITS": limit})
+    assert (proc.returncode, proc.stdout) == (64, b"")
+    assert proc.stderr.splitlines()[-1] == (
+        b"nfr4 critical: error: argument --mode: absolute threshold has"
+        b" more than 4300 digits in a row")
+    assert len(proc.stderr) < 500
+
+
 @pytest.mark.parametrize("argv", [
     ["critical"], ["matrix"], ["report", "--format", "json"],
 ], ids=" ".join)

@@ -157,7 +157,7 @@ def many_goal_model(rng):
 
 def bundles_for_oracles():
     """Fixtures, 200 random models that pass validation and 50 with many
-    goals, each with a few threshold modes."""
+    goals, each with one of four threshold modes in turn."""
     models = [parse(LIBRARY_PATH.read_bytes()), parse(ATM_PATH.read_bytes())]
     rng = random.Random(505)
     while len(models) < 202:
@@ -167,7 +167,8 @@ def bundles_for_oracles():
     models += [many_goal_model(rng) for _ in range(50)]
     for index, model in enumerate(models):
         mode = (ThresholdMode.mean(), ThresholdMode.top_k(2),
-                ThresholdMode.absolute(0))[index % 3]
+                ThresholdMode.absolute(0),
+                ThresholdMode.absolute(Fraction(5, 2)))[index % 4]
         yield build_bundle(model, mode)
 
 
@@ -612,6 +613,43 @@ def test_json_degenerate_matrices_match_the_reference(library_model):
     ):
         hand_built = replace(bundle, matrix=degenerate)
         assert export_json(hand_built) == reference_json(hand_built)
+
+
+def marks_pieces(bundle):
+    """The pieces ``iter_json`` yields between ``"marks": `` and the
+    piece that closes the matrix object."""
+    pieces = list(iter_json(bundle))
+    start = next(i for i, piece in enumerate(pieces)
+                 if piece.endswith('"marks": ')) + 1
+    end = next(i for i, piece in enumerate(pieces)
+               if piece.startswith('\n  },\n  "criticality"'))
+    return pieces[start:end]
+
+
+@pytest.mark.parametrize("width, rows", [
+    # A mark on goal 0, on the last goal, adjacent marks, every goal
+    # and no goal, one row each.
+    (5, ((0,), (4,), (1, 2), (0, 1, 2, 3, 4), (), (0, 4))),
+    (1, ((0,), (), (0,), (), (), (0,))),
+    (0, ((),) * 6),
+    (2000, ((0,), (1999,), (7, 8, 9), tuple(range(2000)), (),
+            tuple(range(0, 2000, 3)))),
+], ids=["5 goals", "1 goal", "0 goals", "2000 goals"])
+def test_json_marks_rows_match_the_reference(library_model, width, rows):
+    bundle = build_bundle(library_model)
+    matrix = replace(bundle.matrix,
+                     goal_ids=tuple(f"g{j}" for j in range(width)),
+                     goal_names=tuple(f"G{j}" for j in range(width)),
+                     rows=rows)
+    hand_built = replace(bundle, matrix=matrix)
+    assert export_json(hand_built) == reference_json(hand_built)
+    # One piece per NFR row, then the closing bracket.
+    pieces = marks_pieces(hand_built)
+    assert len(pieces) == len(rows) + 1
+    for piece, row in zip(pieces, rows_to_marks(rows, width)):
+        assert piece[0] in "[,"
+        assert json.loads(piece[1:]) == list(row)
+    assert pieces[-1] == "\n    ]"
 
 
 def test_json_repeated_ids_keep_dict_semantics(library_model):
