@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,16 @@ def _refuse_unprintable(what: str, n: Fraction | int) -> None:
         raise ValueError(f"{what} needs more than {MAX_THRESHOLD_DIGITS}"
                          " digits to print")
     str(n)  # raises here, not mid-render, under a lower int digit limit
+
+
+def refuse_digit_runs(what: str, text: str) -> None:
+    """Refuse a text with more than ``MAX_THRESHOLD_DIGITS`` digits in a
+    row, before int() reads it: whether int() would depends on the
+    process's int digit limit."""
+    if max(map(len, re.findall(r"\d+", text.replace("_", ""))),
+           default=0) > MAX_THRESHOLD_DIGITS:
+        raise ValueError(f"{what} has more than {MAX_THRESHOLD_DIGITS}"
+                         " digits in a row")
 
 
 class EmptyModelError(ValueError):
@@ -179,7 +190,8 @@ class ThresholdMode:
     @classmethod
     def top_k(cls, k: int) -> ThresholdMode:
         if not isinstance(k, int) or isinstance(k, bool):
-            raise ValueError(f"top_k needs an integer k, got {k!r}")
+            raise ValueError(
+                f"top_k needs an integer k, got {reprlib.repr(k)}")
         _refuse_unprintable("top_k's k", k)
         if k < 1:
             raise ValueError(f"top_k needs k >= 1, got {k}")
@@ -198,15 +210,12 @@ class ThresholdMode:
             if exponent.isdecimal() and float(exponent) > MAX_THRESHOLD_DIGITS:
                 raise ValueError("absolute threshold has an exponent above"
                                  f" {MAX_THRESHOLD_DIGITS} in magnitude")
-            if max(map(len, re.findall(r"\d+", value.replace("_", ""))),
-                   default=0) > MAX_THRESHOLD_DIGITS:
-                raise ValueError("absolute threshold has more than"
-                                 f" {MAX_THRESHOLD_DIGITS} digits in a row")
+            refuse_digit_runs("absolute threshold", value)
         try:
             value = Fraction(value)
         except (ArithmeticError, ValueError):  # '1/0', 'nan', 'None'
-            raise ValueError(
-                f"absolute needs a number t, got {threshold!r}") from None
+            raise ValueError("absolute needs a number t,"
+                             f" got {reprlib.repr(threshold)}") from None
         _refuse_unprintable("absolute threshold", value)
         if value < 0:
             raise ValueError(f"absolute threshold must be >= 0, got {value}")

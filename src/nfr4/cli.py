@@ -21,6 +21,7 @@ import errno
 import functools
 import io
 import os
+import reprlib
 import sys
 from collections.abc import Iterable
 from itertools import chain
@@ -33,6 +34,7 @@ from .analysis import (
     build_traceability_matrix,
     compute_mcr,
     rank_criticality,
+    refuse_digit_runs,
     score_checklist,
 )
 from .dsl import parse
@@ -93,13 +95,14 @@ def _parse_mode(text: str) -> ThresholdMode:
         if text == "mean":
             return ThresholdMode.mean()
         if text.startswith("top_k=") and plain:
+            refuse_digit_runs("top_k's k", value)
             return ThresholdMode.top_k(int(value))
         if text.startswith("absolute=") and plain:
             return ThresholdMode.absolute(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
-        f"expected mean, top_k=K or absolute=T, got {text!r}")
+        f"expected mean, top_k=K or absolute=T, got {reprlib.repr(text)}")
 
 
 @functools.cache

@@ -266,11 +266,11 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
             early.setdefault(check_id, []).append(
                 UnresolvedCheck(check_id, int(index), answer, line=lineno))
         elif keyword == "nfr":
-            slots = None
-            if ident not in answers:
-                slots = answers[ident] = [UNANSWERED] * CHECKLIST_SIZE
-                for check in early.pop(ident, ()):
-                    slots[check.index - 1] = check.answer
+            # A repeated id gets unanswered slots: the first took its checks.
+            slots = [UNANSWERED] * CHECKLIST_SIZE
+            answers.setdefault(ident, slots)
+            for check in early.pop(ident, ()):
+                slots[check.index - 1] = check.answer
             nfr_rows.append((ident, name, refs, lineno, slots))
         elif keyword == "stakeholder":
             stakeholders.append(Stakeholder(ident, name, line=lineno))
@@ -301,23 +301,20 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
         errors.sort(key=lambda e: (e.line, e.column))
         return errors
 
-    goal_ids = {g.id for g in goals}
-    subgoal_ids = {s.id for s in subgoals}
+    # Goals first: a dangling id is filed as a goal (REF diagnostic later).
+    subgoal_ids = {s.id for s in subgoals}.difference(g.id for g in goals)
     nfrs: list[Nfr] = []
     for ident, name, refs, lineno, slots in nfr_rows:
         attached_goals: list[str] = []
         attached_subgoals: list[str] = []
         for ref in refs:
-            if ref in goal_ids:
-                attached_goals.append(ref)
-            elif ref in subgoal_ids:
+            if ref in subgoal_ids:
                 attached_subgoals.append(ref)
             else:
-                attached_goals.append(ref)  # dangling; REF diagnostic later
-        checklist = ChecklistRecord() if slots is None \
-            else ChecklistRecord(tuple(slots))
+                attached_goals.append(ref)
         nfrs.append(Nfr(ident, name, tuple(attached_subgoals),
-                        tuple(attached_goals), checklist, line=lineno))
+                        tuple(attached_goals), ChecklistRecord(tuple(slots)),
+                        line=lineno))
     unresolved = sorted((check for group in early.values() for check in group),
                         key=lambda check: check.line)
 

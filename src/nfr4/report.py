@@ -123,8 +123,8 @@ def iter_matrix_table(matrix: TraceabilityMatrix,
 
     if legend:
         yield "\n"
-        for j, name in enumerate(matrix.goal_names):
-            yield f"G{j + 1} = {name}\n"
+        for header, name in zip(goal_headers, matrix.goal_names):
+            yield f"{header} = {name}\n"
 
 
 def render_matrix_table(matrix: TraceabilityMatrix,
@@ -245,8 +245,7 @@ def _json_marks_rows(matrix: TraceabilityMatrix) -> Iterator[str]:
     """One dense ``marks`` row per NFR: the slices of one all-``false``
     row text between its marked cells, joined by ``true``."""
     head, comma, false = "[\n        ", ",\n        ", "false"
-    goals = len(matrix.goal_ids)
-    text = head + comma.join([false] * goals) + "\n      ]" if goals else "[]"
+    text = "".join(_json_members([false] * len(matrix.goal_ids), "      "))
     offset, step, width = len(head), len(comma) + len(false), len(false)
     for marked in matrix.rows:
         pieces, end = [], 0

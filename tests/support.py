@@ -222,6 +222,30 @@ def rows_to_marks(rows, width: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(j in row for j in range(width)) for row in rows)
 
 
+def marked_goals(matrix) -> dict[str, set[str]]:
+    """Each NFR id with the ids of the goals its matrix row marks."""
+    return {
+        nfr_id: {matrix.goal_ids[j] for j in row}
+        for nfr_id, row in zip(matrix.nfr_ids, matrix.rows)
+    }
+
+
+# Metamorphic relations (Chen, Cheung and Yiu, HKUST-CS98-01, 1998): each
+# transform gives a text that every command must treat exactly as it
+# treats ``text``, or None when the relation does not hold for ``text``.
+
+def crlf_variant(text: str) -> str | None:
+    """``text`` with CRLF line ends; None if it holds a CR already, since
+    a CR before a LF would become CR CR LF."""
+    return None if "\r" in text else text.replace("\n", "\r\n")
+
+
+def bom_variant(text: str) -> str | None:
+    """``text`` after a byte order mark; None if it starts with one
+    already, since ``parse`` drops only one."""
+    return None if text.startswith("\ufeff") else "\ufeff" + text
+
+
 def run_cli(argv, stdin_bytes: bytes | None = None) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

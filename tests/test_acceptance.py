@@ -31,7 +31,13 @@ from nfr4.model import (
 from nfr4.fixtures import LIBRARY_PATH, ATM_PATH
 from nfr4.report import format_ratio
 
-from support import brute_force_marks, marks_to_rows, random_model, run_cli
+from support import (
+    brute_force_marks,
+    marked_goals,
+    marks_to_rows,
+    random_model,
+    run_cli,
+)
 
 LIBRARY = str(LIBRARY_PATH)
 ATM = str(ATM_PATH)
@@ -61,13 +67,6 @@ def criterion(number, description):
         print(f"ACCEPTANCE C{number} FAIL - {description}")
         raise
     print(f"ACCEPTANCE C{number} PASS - {description}")
-
-
-def marked_goals(matrix):
-    return {
-        nfr_id: {matrix.goal_ids[j] for j in row}
-        for nfr_id, row in zip(matrix.nfr_ids, matrix.rows)
-    }
 
 
 def cli_scores(stdout):

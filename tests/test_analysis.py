@@ -33,7 +33,12 @@ from nfr4.model import (
     SubGoal,
 )
 
-from support import brute_force_marks, marks_to_rows, random_model
+from support import (
+    brute_force_marks,
+    marked_goals,
+    marks_to_rows,
+    random_model,
+)
 
 ALL_YES = ("yes",) * CHECKLIST_SIZE
 
@@ -197,13 +202,6 @@ ATM_MARKED = {
     "reliability": {"transfer_money", "deposit_money"},
     "safety": {"print_receipt"},
 }
-
-
-def marked_goals(matrix):
-    return {
-        nfr_id: {matrix.goal_ids[j] for j in row}
-        for nfr_id, row in zip(matrix.nfr_ids, matrix.rows)
-    }
 
 
 def test_library_matrix_pattern(library_model):
@@ -464,6 +462,18 @@ def test_absolute_reads_many_long_runs_of_digits_fast():
     with pytest.raises(ValueError, match=r"^absolute needs a number t, got"):
         ThresholdMode.absolute(text)
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("make, value, reason", [
+    (ThresholdMode.top_k, list(range(100_000)),
+     "top_k needs an integer k, got [0, 1, 2, 3, 4, 5, ...]"),
+    (ThresholdMode.absolute, ("1" * 4300 + "/") * 20,
+     "absolute needs a number t, got '111111111111...111111111111/'"),
+], ids=["top_k", "absolute"])
+def test_a_refused_value_is_quoted_short(make, value, reason):
+    with pytest.raises(ValueError) as refused:
+        make(value)
+    assert str(refused.value) == reason
 
 
 def test_top_k_refuses_a_k_that_cannot_be_printed():

@@ -29,7 +29,15 @@ from nfr4.report import (
     threshold_line,
 )
 
-from support import fuzz_line, mutate, random_model, run_cli, wide_model_text
+from support import (
+    bom_variant,
+    crlf_variant,
+    fuzz_line,
+    mutate,
+    random_model,
+    run_cli,
+    wide_model_text,
+)
 
 LIBRARY = str(LIBRARY_PATH)
 ATM = str(ATM_PATH)
@@ -496,18 +504,37 @@ def test_mode_acceptance_does_not_depend_on_the_int_digit_limit(mode):
     assert runs[1].stdout == runs[0].stdout
 
 
-@pytest.mark.parametrize("limit", [None, "0", "640"])
-def test_a_long_run_of_digits_gets_one_short_reason(limit):
-    # Whether int() reads the 5,000 ones depends on the digit limit; the
-    # mode refuses them first, in every process, without echoing them.
+LONG_RUNS = [
+    ("absolute=" + "1" * 5000, b"absolute threshold", ""),
+    ("top_k=" + "1" * 5000, b"top_k's k", "top_k=5000 ones-"),
+    ("top_k=" + "0" * 4300 + "3", b"top_k's k", "top_k=4300 zeros and 3-"),
+]
+
+
+@pytest.mark.parametrize("mode, what, limit", [
+    pytest.param(mode, what, limit, id=f"{name}{limit}")
+    for mode, what, name in LONG_RUNS for limit in (None, "0", "640")])
+def test_a_long_run_of_digits_gets_one_short_reason(mode, what, limit):
+    # Whether int() reads the digits depends on the digit limit; the mode
+    # refuses them first, in every process, without echoing them.
     proc = launch([sys.executable, "-m", "nfr4.cli"],
-                  ["critical", "--mode", "absolute=" + "1" * 5000, LIBRARY],
+                  ["critical", "--mode", mode, LIBRARY],
                   {"PYTHONINTMAXSTRDIGITS": limit})
     assert (proc.returncode, proc.stdout) == (64, b"")
     assert proc.stderr.splitlines()[-1] == (
-        b"nfr4 critical: error: argument --mode: absolute threshold has"
-        b" more than 4300 digits in a row")
+        b"nfr4 critical: error: argument --mode: " + what
+        + b" has more than 4300 digits in a row")
     assert len(proc.stderr) < 500
+
+
+@pytest.mark.parametrize("mode", [
+    "absolute=" + ("1" * 4300 + "/") * 20, "x" * 100_000,
+], ids=["absolute=20 runs of 4300 ones", "100000 x"])
+def test_a_refused_mode_is_quoted_short(mode):
+    code, out, err = run_cli(["critical", "--mode", mode, LIBRARY])
+    assert (code, out) == (64, "")
+    assert "..." in err.splitlines()[-1]
+    assert len(err.encode()) < 500
 
 
 @pytest.mark.parametrize("argv", [
@@ -595,6 +622,34 @@ def test_fuzzed_files_through_every_command(tmp_path):
                     for e in parsed))
             codes.add(code)
     # Every outcome must occur, or the check proves little.
+    assert codes == {0, 1, 2, 3}
+
+
+def test_crlf_line_ends_and_a_bom_change_no_output():
+    # Each relation runs on 200 fuzzed files that parse and 50 that do
+    # not, with the model read from stdin so that no path tells them apart.
+    rng = random.Random(808)
+    relations = (crlf_variant, bom_variant)
+    wanted = {(relation, parses): 200 if parses else 50
+              for relation in relations for parses in (True, False)}
+    codes = set()
+    while any(wanted.values()):
+        text = _mutated_model_text(rng)
+        parses = not isinstance(parse(text), list)
+        variants = []
+        for relation in relations:
+            variant = relation(text)
+            if variant is not None and wanted[relation, parses]:
+                wanted[relation, parses] -= 1
+                variants.append((relation.__name__, variant.encode()))
+        if not variants:
+            continue
+        for command in PIPELINE_COMMANDS:
+            result = run_cli([*command, "-"], text.encode())
+            for name, variant in variants:
+                assert run_cli([*command, "-"], variant) == result, \
+                    (name, command, text)
+            codes.add(result[0])
     assert codes == {0, 1, 2, 3}
 
 
