@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import re
 import reprlib
-from collections.abc import Sequence
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,21 +31,34 @@ MAX_THRESHOLD_DIGITS = 4300
 _EIGHTHS = tuple(Fraction(k, CHECKLIST_SIZE) for k in range(CHECKLIST_SIZE + 1))
 
 
+def _digit_bounds() -> Iterator[tuple[int, str]]:
+    """The fixed bound on a K's or a T's digits, then this process's int
+    digit limit if it is lower, with the words that name it: int() reads
+    and str() prints no more.  (3.10 before 3.10.7 has no limit.)"""
+    yield MAX_THRESHOLD_DIGITS, ""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if 0 < limit < MAX_THRESHOLD_DIGITS:
+        yield limit, ", the PYTHONINTMAXSTRDIGITS limit"
+
+
 def _refuse_unprintable(what: str, n: Fraction | int) -> None:
-    if max(abs(n.numerator), n.denominator) >= 10 ** MAX_THRESHOLD_DIGITS:
-        raise ValueError(f"{what} needs more than {MAX_THRESHOLD_DIGITS}"
-                         " digits to print")
-    str(n)  # raises here, not mid-render, under a lower int digit limit
+    # Refused here, not mid-render.
+    for bound, source in _digit_bounds():
+        if max(abs(n.numerator), n.denominator) >= 10 ** bound:
+            raise ValueError(f"{what} needs more than {bound} digits to"
+                             f" print{source}")
 
 
 def refuse_digit_runs(what: str, text: str) -> None:
-    """Refuse a text with more than ``MAX_THRESHOLD_DIGITS`` digits in a
-    row, before int() reads it: whether int() would depends on the
-    process's int digit limit."""
-    if max(map(len, re.findall(r"\d+", text.replace("_", ""))),
-           default=0) > MAX_THRESHOLD_DIGITS:
-        raise ValueError(f"{what} has more than {MAX_THRESHOLD_DIGITS}"
-                         " digits in a row")
+    """Refuse a text with a run of more digits than
+    ``MAX_THRESHOLD_DIGITS``, or than a lower int digit limit lets int()
+    read, before int() reads it."""
+    longest = max(map(len, re.findall(r"\d+", text.replace("_", ""))),
+                  default=0)
+    for bound, source in _digit_bounds():
+        if longest > bound:
+            raise ValueError(f"{what} has more than {bound} digits in a"
+                             f" row{source}")
 
 
 class EmptyModelError(ValueError):

@@ -17,8 +17,10 @@ whether or not stderr is open.
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
 import functools
+import gc
 import io
 import os
 import reprlib
@@ -58,7 +60,23 @@ EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this tool reserves 2 for bad models."""
+    """argparse exits 2 on usage errors; this tool reserves 2 for bad models.
+    argparse echoes a refused value whole; here it is quoted short, as
+    ``reprlib.repr`` quotes it."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments:"
+                       f" {reprlib.repr(' '.join(extras))}")
+        return args
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, "invalid choice:"
+                                         f" {reprlib.repr(value)}"
+                                         f" (choose from {choices})")
 
     def error(self, message):
         # argparse drops a failed write and leaves the text buffered, so
@@ -197,6 +215,10 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
 
 
 def main(argv: list[str] | None = None) -> None:
+    # The collection at interpreter exit walks the whole heap and frees
+    # nothing; atexit handlers run first, and a frozen heap is skipped.
+    atexit.unregister(gc.freeze)  # once, however often main runs
+    atexit.register(gc.freeze)
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:
             # The fd was closed at launch: act as a pipe whose reader is
@@ -208,9 +230,11 @@ def main(argv: list[str] | None = None) -> None:
     if isinstance(sys.stdout, io.TextIOWrapper):
         # Input is always read as UTF-8, so output is written as UTF-8
         # whatever the locale or PYTHONIOENCODING says.  It is written
-        # in blocks even under PYTHONUNBUFFERED: a streamed report is
-        # thousands of short lines, one write call each otherwise.
+        # in blocks of 256 KiB even under PYTHONUNBUFFERED: a streamed
+        # report is thousands of lines, a wide one's longer than the
+        # default 8 KiB block, one write call each otherwise.
         sys.stdout.reconfigure(encoding="utf-8", write_through=False)
+        sys.stdout._CHUNK_SIZE = 1 << 18
     if isinstance(sys.stderr, io.TextIOWrapper):
         # UTF-8 as well, with the buffering left as it is.  A path from
         # argv may hold bytes that do not decode; they are escaped.

@@ -550,6 +550,37 @@ def test_modes_are_refused_when_built_if_this_process_cannot_print_them():
         sys.set_int_max_str_digits(limit)
 
 
+LIMIT = ", the PYTHONINTMAXSTRDIGITS limit"
+
+
+@pytest.mark.parametrize("build, value, reason", [
+    (ThresholdMode.top_k, 10 ** 640,
+     "top_k's k needs more than 640 digits to print" + LIMIT),
+    (ThresholdMode.absolute, Fraction(1, 10 ** 640),
+     "absolute threshold needs more than 640 digits to print" + LIMIT),
+    (ThresholdMode.absolute, "1e640",
+     "absolute threshold needs more than 640 digits to print" + LIMIT),
+    (ThresholdMode.absolute, "9" * 641,
+     "absolute threshold has more than 640 digits in a row" + LIMIT),
+    (ThresholdMode.absolute, "1." + "0" * 641,
+     "absolute threshold has more than 640 digits in a row" + LIMIT),
+], ids=["top_k 10**640", "absolute 1/10**640", "absolute 1e640",
+        "absolute 641 nines", "absolute 1.(641 zeros)"])
+def test_a_lower_int_digit_limit_is_named(build, value, reason):
+    # Below 4300 the process's int digit limit bounds K and T as well, and
+    # the reason names it.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError) as refused:
+            build(value)
+        assert str(refused.value) == reason
+        assert ThresholdMode.top_k(10 ** 640 - 1).parameter == 10 ** 640 - 1
+        assert ThresholdMode.absolute("9" * 640).parameter == 10 ** 640 - 1
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_empty_matrix_is_refused():
     no_rows = TraceabilityMatrix((), (), ("g",), ("G",), ())
     no_columns = TraceabilityMatrix(("n",), ("N",), (), (), ((),))

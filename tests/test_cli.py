@@ -24,6 +24,8 @@ from nfr4.model import validate_structure
 from nfr4.report import (
     build_bundle,
     export_json,
+    iter_json,
+    iter_summary,
     render_matrix_table,
     render_summary,
     threshold_line,
@@ -406,8 +408,50 @@ def test_stdout_becomes_utf8_and_block_written(model_file, monkeypatch):
         assert exit_info.value.code == 0
         expected = render_summary(build_bundle(parse(text.encode()))).encode()
         assert raw.getvalue() == expected
-        # Blocks of up to the text layer's 8 KiB chunk, not one per line.
+        # Blocks of up to the text layer's 256 KiB chunk, not one per line.
         assert raw.writes < expected.count(b"\n") / 10
+
+
+class _CountingRawWriter(io.RawIOBase):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+@pytest.mark.parametrize("stack", ["raw", "buffered"])
+def test_stdout_goes_out_in_256_kib_blocks(model_file, monkeypatch, stack):
+    # As PYTHONUNBUFFERED=1 sets stdout up, the text layer over the raw
+    # file; without it, over a BufferedWriter of its own 8 KiB buffer.
+    text = wide_model_text(random.Random(4040), 500, 500)
+    bundle = build_bundle(parse(text.encode()))
+    path = model_file(text)
+    for argv, pieces in ((["report", path], list(iter_summary(bundle))),
+                         (["report", "--format", "json", path],
+                          [*iter_json(bundle), "\n"])):
+        raw = _CountingRawWriter()
+        binary = raw if stack == "raw" else io.BufferedWriter(raw)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+            binary, encoding="utf-8", write_through=stack == "raw"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        expected = "".join(pieces).encode()
+        assert len(expected) > 2 ** 20
+        assert b"".join(raw.writes) == expected, argv
+        # The text layer sends on what it holds before one more piece (a
+        # line, a JSON row) would take it past the chunk, so a block falls
+        # short of 256 KiB by less than a piece; only the last may be
+        # shorter.
+        longest = max(len(piece.encode()) for piece in pieces)
+        assert min(map(len, raw.writes[:-1])) > 2 ** 18 - longest, argv
+        assert max(map(len, raw.writes)) <= 2 ** 18, argv
 
 
 def test_report_without_nfrs_is_precondition_error(model_file):
@@ -537,6 +581,27 @@ def test_a_refused_mode_is_quoted_short(mode):
     assert len(err.encode()) < 500
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["report", "--format", "x" * 100_000, LIBRARY],
+     "argument --format: invalid choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+     " (choose from 'text', 'markdown', 'json')"),
+    (["x" * 100_000], "argument command: invalid choice:"
+     " 'xxxxxxxxxxxx...xxxxxxxxxxxxx' (choose from 'check', 'metrics',"
+     " 'matrix', 'critical', 'report')"),
+    (["check", LIBRARY, "x" * 100_000],
+     "unrecognized arguments: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    (["check", LIBRARY, "x y " * 25_000],
+     "unrecognized arguments: 'x y x y x y ... x y x y x y '"),
+], ids=["--format", "command", "extra argument", "extra argument of words"])
+def test_argparse_quotes_a_refused_value_short(argv, shown):
+    # argparse's own reasons echo the value whole; here it is quoted as
+    # nfr4's own reasons quote it.
+    code, out, err = run_cli(argv)
+    assert (code, out) == (64, "")
+    assert err.splitlines()[-1].partition(" error: ")[2] == shown
+    assert len(err.encode()) < 500
+
+
 @pytest.mark.parametrize("argv", [
     ["critical"], ["matrix"], ["report", "--format", "json"],
 ], ids=" ".join)
@@ -548,6 +613,25 @@ def test_a_threshold_this_process_cannot_print_is_refused_up_front(argv):
                   {"PYTHONINTMAXSTRDIGITS": "640"})
     assert (proc.returncode, proc.stdout) == (64, b"")
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode, reason", [
+    ("top_k=" + "9" * 4300, b"top_k's k has more than 640 digits in a row"),
+    ("absolute=" + "9" * 700,
+     b"absolute threshold has more than 640 digits in a row"),
+    ("absolute=1e1000", b"absolute threshold needs more than 640 digits"
+     b" to print"),
+], ids=["top_k=4300 nines", "absolute=700 nines", "absolute=1e1000"])
+def test_a_lower_int_digit_limit_is_named_in_the_reason(mode, reason):
+    # Python's own text would tell a CLI user to call
+    # sys.set_int_max_str_digits(); the reason names the variable instead.
+    proc = launch([sys.executable, "-m", "nfr4.cli"],
+                  ["critical", "--mode", mode, LIBRARY],
+                  {"PYTHONINTMAXSTRDIGITS": "640"})
+    assert (proc.returncode, proc.stdout) == (64, b"")
+    assert proc.stderr.splitlines()[-1] == (
+        b"nfr4 critical: error: argument --mode: " + reason
+        + b", the PYTHONINTMAXSTRDIGITS limit")
 
 
 def test_usage_error_does_not_touch_the_input(model_file):
@@ -790,6 +874,44 @@ def test_reader_leaving_mid_output_exits_141_quietly(launcher, model_file):
                     proc.kill()  # a no-op once the child has exited
             assert len(head) == 4096, (argv, buffering)
             assert (proc.returncode, err) == (141, b""), (argv, buffering)
+
+
+# Registered before main, so it runs after main's own exit handlers.
+FREEZE_PROBE = """\
+import atexit, gc, os
+atexit.register(lambda: os.write(2, b"frozen: %d\\n" % gc.get_freeze_count()))
+from nfr4.cli import main
+main()
+"""
+
+
+def test_the_heap_is_frozen_before_the_exit_time_collection(model_file):
+    # The collection at interpreter exit skips a frozen heap; every way
+    # out of main freezes it first.
+    for argv, code in ((["metrics", LIBRARY], 0),
+                       (["report", model_file(ERROR_TEXT)], 2),
+                       (["report", "--format", "yaml", LIBRARY], 64)):
+        proc = launch([sys.executable, "-c", FREEZE_PROBE], argv)
+        assert proc.returncode == code, argv
+        frozen = proc.stderr.splitlines()[-1]
+        assert frozen.startswith(b"frozen: "), argv
+        assert int(frozen.removeprefix(b"frozen: ")) > 0, argv
+
+
+def test_main_freezes_the_heap_once_however_often_it_runs():
+    # Tests run main in process hundreds of times.
+    probe = FREEZE_PROBE.replace("main()\n", """\
+freeze = gc.freeze
+gc.freeze = lambda: [freeze(), os.write(2, b"freeze\\n")]
+for _ in range(3):
+    try:
+        main()
+    except SystemExit:
+        pass
+""")
+    proc = launch([sys.executable, "-c", probe], ["check", LIBRARY])
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines().count(b"freeze") == 1
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
