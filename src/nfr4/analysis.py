@@ -246,10 +246,9 @@ class CriticalityReport:
     """Row scores and the NFRs singled out as critical.
 
     ``critical`` is ordered by descending score, ties by declaration
-    order; ``scores`` stays in declaration order.
+    order; ``scores[i]`` is the score of the matrix's row i.
     """
 
-    nfr_ids: tuple[str, ...]
     scores: tuple[int, ...]
     threshold_mode: ThresholdMode
     threshold_value: Fraction
@@ -286,7 +285,5 @@ def rank_criticality(matrix: TraceabilityMatrix,
     else:
         raise ValueError(f"unknown threshold mode: {mode.kind!r}")
 
-    return CriticalityReport(
-        matrix.nfr_ids, scores, mode, threshold,
-        tuple(matrix.nfr_ids[i] for i in chosen),
-    )
+    return CriticalityReport(scores, mode, threshold,
+                             tuple(matrix.nfr_ids[i] for i in chosen))

@@ -23,6 +23,7 @@ import functools
 import gc
 import io
 import os
+import re
 import reprlib
 import sys
 from collections.abc import Iterable
@@ -114,7 +115,9 @@ def _parse_mode(text: str) -> ThresholdMode:
             return ThresholdMode.mean()
         if text.startswith("top_k=") and plain:
             refuse_digit_runs("top_k's k", value)
-            return ThresholdMode.top_k(int(value))
+            # Any other K is refused by top_k, in nfr4's words.
+            k = int(value) if re.fullmatch(r"[+-]?[0-9]+", value) else value
+            return ThresholdMode.top_k(k)
         if text.startswith("absolute=") and plain:
             return ThresholdMode.absolute(value)
     except ValueError as exc:
@@ -209,7 +212,7 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
     if args.command == "matrix":
         return iter_matrix_table(matrix, criticality, legend=args.legend)
     return [*(f"{nfr_id}: {score}\n" for nfr_id, score
-              in zip(criticality.nfr_ids, criticality.scores)),
+              in zip(matrix.nfr_ids, criticality.scores)),
             f"{threshold_line(criticality)}\n",
             f"critical: {', '.join(criticality.critical)}".rstrip() + "\n"]
 

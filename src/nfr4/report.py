@@ -145,11 +145,10 @@ def _diagnostic_line(diagnostic: Diagnostic) -> str:
 
 
 def _critical_lines(bundle: ReportBundle) -> list[str]:
-    report = bundle.criticality
-    names = dict(zip(bundle.matrix.nfr_ids, bundle.matrix.nfr_names))
-    scores = dict(zip(report.nfr_ids, report.scores))
-    critical = [f"{names[nfr_id]} ({scores[nfr_id]})"
-                for nfr_id in report.critical]
+    matrix, report = bundle.matrix, bundle.criticality
+    row = {nfr_id: i for i, nfr_id in enumerate(matrix.nfr_ids)}
+    critical = [f"{matrix.nfr_names[i]} ({report.scores[i]})"
+                for i in map(row.__getitem__, report.critical)]
     return [threshold_line(report), *(critical or ["none"])]
 
 
@@ -289,7 +288,7 @@ def iter_json(bundle: ReportBundle) -> Iterator[str]:
            f'    "marks": ')
     yield from _json_members(_json_marks_rows(matrix), "    ")
     yield '\n  },\n  "criticality": {\n    "scores": '
-    scores = dict(zip(report.nfr_ids, report.scores))
+    scores = dict(zip(matrix.nfr_ids, report.scores))
     yield from _json_members(
         (f"{_encode(nfr_id)}: {score}" for nfr_id, score in scores.items()),
         "    ", "{}")

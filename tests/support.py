@@ -13,6 +13,7 @@ al., *The Fuzzing Book*, chapters "Grammars" and "Grammar Fuzzing".
 from __future__ import annotations
 
 import io
+import re
 import string
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -244,6 +245,48 @@ def bom_variant(text: str) -> str | None:
     """``text`` after a byte order mark; None if it starts with one
     already, since ``parse`` drops only one."""
     return None if text.startswith("\ufeff") else "\ufeff" + text
+
+
+# One piece of a line: a quoted name, a comma, a run of blanks, a comment
+# to the end of the line, a run of other characters, or a stray quote.
+_PIECE_RE = re.compile(r'"[^"]*"|,|[ \t]+|#.*|[^ \t,"#]+|"')
+_BLANKS = ("", " ", "\t", "  ", " \t ")
+_COMMENTS = ("# c", '# "c"', "#c, d on e")
+
+
+def _line_variants(text: str, rng, transform) -> str:
+    """``text`` with ``transform(rng, body)`` applied to every line's body,
+    the line less one CR that ends it; a leading BOM stays in front."""
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    lines = []
+    for line in text[len(bom):].split("\n"):
+        body = line.removesuffix("\r")
+        lines.append(transform(rng, body) + line[len(body):])
+    return bom + "\n".join(lines)
+
+
+def _spread(rng, body: str) -> str:
+    pieces = _PIECE_RE.findall(body)
+    assert "".join(pieces) == body
+    spread = rng.choice(_BLANKS)
+    for piece in pieces:
+        spread += piece
+        if not piece.startswith("#"):
+            spread += rng.choice(_BLANKS)
+    return spread
+
+
+def blank_variant(text: str, rng) -> str:
+    """``text`` with random runs of blanks and tabs before, between and
+    after the tokens of every line, outside quoted names and comments."""
+    return _line_variants(text, rng, _spread)
+
+
+def comment_variant(text: str, rng) -> str:
+    """``text`` with a comment, maybe after a blank or a tab, at the end
+    of every line; it holds a quote or a comma on some lines."""
+    return _line_variants(text, rng, lambda rng, body: body + rng.choice(
+        ("", " ", "\t")) + rng.choice(_COMMENTS))
 
 
 def run_cli(argv, stdin_bytes: bytes | None = None) -> tuple[int, str, str]:

@@ -301,6 +301,7 @@ def test_c9_determinism(library_text):
                 permuted[target] = lines[source]
             model = parse("\n".join(permuted) + "\n")
             assert isinstance(model, Model)
-            report = rank_criticality(build_traceability_matrix(model))
+            matrix = build_traceability_matrix(model)
+            report = rank_criticality(matrix)
             assert set(report.critical) == {"usability", "performance"}
-            assert dict(zip(report.nfr_ids, report.scores)) == LIBRARY_SCORES
+            assert dict(zip(matrix.nfr_ids, report.scores)) == LIBRARY_SCORES

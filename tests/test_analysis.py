@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from nfr4 import analysis
 from nfr4.analysis import (
     EmptyMatrixError,
     EmptyModelError,
@@ -577,6 +578,34 @@ def test_a_lower_int_digit_limit_is_named(build, value, reason):
         assert str(refused.value) == reason
         assert ThresholdMode.top_k(10 ** 640 - 1).parameter == 10 ** 640 - 1
         assert ThresholdMode.absolute("9" * 640).parameter == 10 ** 640 - 1
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("build, value, reason", [
+    (ThresholdMode.top_k, 10 ** 4300,
+     "top_k's k needs more than 4300 digits to print"),
+    (ThresholdMode.absolute, "1e4300",
+     "absolute threshold needs more than 4300 digits to print"),
+    (ThresholdMode.absolute, "9" * 4301,
+     "absolute threshold has more than 4300 digits in a row"),
+], ids=["top_k 10**4300", "absolute 1e4300", "absolute 4301 nines"])
+def test_without_an_int_digit_limit_only_the_fixed_bound_applies(
+        monkeypatch, build, value, reason):
+    # Python 3.10 before 3.10.7 has no int digit limit and no getter for
+    # one.  Without the getter nothing reads the lower limit set here: a
+    # K within the fixed bound is taken, and no reason names the limit.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with monkeypatch.context() as patch:
+            patch.delattr(sys, "get_int_max_str_digits")
+            assert list(analysis._digit_bounds()) == [(4300, "")]
+            with pytest.raises(ValueError) as refused:
+                build(value)
+            assert str(refused.value) == reason
+            assert ThresholdMode.top_k(10 ** 640).parameter == 10 ** 640
+            analysis.refuse_digit_runs("top_k's k", "9" * 4300)
     finally:
         sys.set_int_max_str_digits(saved)
 

@@ -32,7 +32,9 @@ from nfr4.report import (
 )
 
 from support import (
+    blank_variant,
     bom_variant,
+    comment_variant,
     crlf_variant,
     fuzz_line,
     mutate,
@@ -315,6 +317,37 @@ def test_critical_without_nfrs_is_precondition_error(model_file):
         3, "", "error: traceability matrix has no rows or no columns\n")
 
 
+def test_critical_nfrs_are_read_at_their_matrix_rows():
+    # Only the matrix stores the NFR ids: the summary finds each critical
+    # NFR's name and score at its row, and `critical` pairs the ids with
+    # the scores in row order.
+    rng = random.Random(2323)
+    modes = {"mean": ThresholdMode.mean(), "top_k=2": ThresholdMode.top_k(2),
+             "absolute=5/2": ThresholdMode.absolute("5/2")}
+    counts = set()
+    for _ in range(200):
+        model = random_model(rng, for_serialization=True)
+        if not model.nfrs:
+            continue
+        text = serialize(model).encode()
+        for text_mode, mode in modes.items():
+            bundle = build_bundle(model, mode)
+            matrix, report = bundle.matrix, bundle.criticality
+            rows = [matrix.nfr_ids.index(nfr_id) for nfr_id in report.critical]
+            section = render_summary(bundle).rpartition("\nCritical NFRs\n")[2]
+            assert section.split("\n") == [
+                f"  {threshold_line(report)}",
+                *([f"  {matrix.nfr_names[i]} ({report.scores[i]})"
+                   for i in rows] or ["  none"]), ""]
+            code, out, _ = run_cli(["critical", "--mode", text_mode, "-"], text)
+            assert code == 0
+            assert out.split("\n")[:len(matrix.nfr_ids)] == [
+                f"{nfr_id}: {score}"
+                for nfr_id, score in zip(matrix.nfr_ids, report.scores)]
+            counts.add(len(rows))
+    assert 0 in counts and max(counts) > 2
+
+
 # ----------------------------------------------------------------- report
 
 
@@ -368,7 +401,7 @@ def test_report_and_matrix_stream_their_output(model_file):
         (["matrix"], render_matrix_table(bundle.matrix, bundle.criticality)),
         (["critical"], "".join(
             [*(f"{nfr_id}: {score}\n" for nfr_id, score in zip(
-                bundle.criticality.nfr_ids, bundle.criticality.scores)),
+                bundle.matrix.nfr_ids, bundle.criticality.scores)),
              f"{threshold_line(bundle.criticality)}\n",
              f"critical: {', '.join(bundle.criticality.critical)}\n"])),
     ):
@@ -508,7 +541,9 @@ def test_bad_usage_exits_64(argv):
 
 @pytest.mark.parametrize("mode, reason", [
     ("x", "expected mean, top_k=K or absolute=T, got 'x'"),
-    ("top_k=abc", "invalid literal for int() with base 10: 'abc'"),
+    # Any K but an optional sign and ASCII digits is not an integer.
+    *((f"top_k={k}", f"top_k needs an integer k, got {k!r}")
+      for k in ("abc", "", "1.5", "+-3")),
     ("top_k=0", "top_k needs k >= 1, got 0"),
     ("absolute=1/0", "absolute needs a number t, got '1/0'"),
     ("absolute=nan", "absolute needs a number t, got 'nan'"),
@@ -572,8 +607,8 @@ def test_a_long_run_of_digits_gets_one_short_reason(mode, what, limit):
 
 
 @pytest.mark.parametrize("mode", [
-    "absolute=" + ("1" * 4300 + "/") * 20, "x" * 100_000,
-], ids=["absolute=20 runs of 4300 ones", "100000 x"])
+    "absolute=" + ("1" * 4300 + "/") * 20, "x" * 100_000, "top_k=" + "x" * 300,
+], ids=["absolute=20 runs of 4300 ones", "100000 x", "top_k=300 x"])
 def test_a_refused_mode_is_quoted_short(mode):
     code, out, err = run_cli(["critical", "--mode", mode, LIBRARY])
     assert (code, out) == (64, "")
@@ -735,6 +770,33 @@ def test_crlf_line_ends_and_a_bom_change_no_output():
                     (name, command, text)
             codes.add(result[0])
     assert codes == {0, 1, 2, 3}
+
+
+def test_blanks_and_trailing_comments_change_no_parse():
+    # Every command's output depends only on the parse result and the
+    # input's name, so a relation that keeps repr(parse(text)), line
+    # fields included, keeps every command's output.  Each relation runs
+    # on 200 fuzzed files that parse; one per relation also goes through
+    # every command.
+    rng = random.Random(909)
+    relations = (blank_variant, comment_variant)
+    files = 0
+    while files < 200:
+        text = _mutated_model_text(rng)
+        parsed = parse(text)
+        if isinstance(parsed, list):
+            continue
+        for relation in relations:
+            variant = relation(text, rng)
+            assert variant != text
+            assert repr(parse(variant)) == repr(parsed), \
+                (relation.__name__, text, variant)
+            if files == 0:
+                for command in PIPELINE_COMMANDS:
+                    assert run_cli([*command, "-"], variant.encode()) \
+                        == run_cli([*command, "-"], text.encode()), \
+                        (relation.__name__, command)
+        files += 1
 
 
 # ------------------------------------------------------- installed script

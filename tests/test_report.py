@@ -126,7 +126,7 @@ def reference_json(bundle):
                 bundle.matrix.rows, len(bundle.matrix.goal_ids))],
         },
         "criticality": {
-            "scores": dict(zip(report.nfr_ids, report.scores)),
+            "scores": dict(zip(bundle.matrix.nfr_ids, report.scores)),
             "threshold_mode": str(report.threshold_mode),
             "threshold_value": format_ratio(report.threshold_value),
             "critical": list(report.critical),
@@ -658,13 +658,15 @@ def test_json_repeated_ids_keep_dict_semantics(library_model):
     the reference's dicts do."""
     bundle = build_bundle(library_model)
     first, second = bundle.per_nfr_scores[:2]
-    report = bundle.criticality
+    matrix, report = bundle.matrix, bundle.criticality
     repeated = replace(
         bundle,
         per_nfr_scores=(*bundle.per_nfr_scores,
                         replace(second, subject=first.subject)),
-        criticality=replace(report, nfr_ids=(*report.nfr_ids, first.subject),
-                            scores=(*report.scores, 99)))
+        matrix=replace(matrix, nfr_ids=(*matrix.nfr_ids, first.subject),
+                       nfr_names=(*matrix.nfr_names, "Repeated"),
+                       rows=(*matrix.rows, ())),
+        criticality=replace(report, scores=(*report.scores, 99)))
     text = export_json(repeated)
     assert text == reference_json(repeated)
     data = json.loads(text)
