@@ -103,9 +103,8 @@ def compute_mcr(model: Model) -> CompletenessResult:
 
 @dataclass(frozen=True, slots=True)
 class ChecklistScore:
-    """Validation score for one NFR, or for the whole model (subject None)."""
+    """Validation score for one NFR, or for the whole model."""
 
-    subject: str | None
     yes_count: int
     answered_count: int
     metric: Fraction
@@ -114,7 +113,7 @@ class ChecklistScore:
 def score_nfr(nfr: Nfr) -> ChecklistScore:
     """Score one NFR's checklist: its yes-count over eight."""
     record = nfr.checklist
-    return ChecklistScore(nfr.id, record.yes_count, record.answered_count,
+    return ChecklistScore(record.yes_count, record.answered_count,
                           _EIGHTHS[record.yes_count])
 
 
@@ -129,7 +128,7 @@ def score_checklist(model: Model) -> ChecklistScore:
     questions = range(CHECKLIST_SIZE)
     yes = sum(all(a[q] == YES for a in answers) for q in questions)
     answered = sum(all(a[q] != UNANSWERED for a in answers) for q in questions)
-    return ChecklistScore(None, yes, answered, _EIGHTHS[yes])
+    return ChecklistScore(yes, answered, _EIGHTHS[yes])
 
 
 @dataclass(frozen=True, slots=True)

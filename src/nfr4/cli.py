@@ -201,7 +201,7 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
         return ()
     if args.command == "metrics":
         return (f"{mcr_line(compute_mcr(model))}\n",
-                f"{validation_line(score_checklist(model))}\n")
+                f"{validation_line('validation', score_checklist(model))}\n")
     if args.command == "report":
         bundle = build_bundle(model, args.mode, diagnostics=diagnostics)
         if args.format == "json":

@@ -44,8 +44,7 @@ def mcr_line(completeness: CompletenessResult) -> str:
     return f"MCR = {n_c} / [{n_c}+{n_nv}] = {format_ratio(completeness.mcr)}"
 
 
-def validation_line(score: ChecklistScore) -> str:
-    label = score.subject if score.subject is not None else "validation"
+def validation_line(label: str, score: ChecklistScore) -> str:
     return (f"{label}: {score.yes_count}/{CHECKLIST_SIZE}"
             f" = {format_ratio(score.metric)}")
 
@@ -63,7 +62,6 @@ class ReportBundle:
     diagnostics: tuple[Diagnostic, ...]
     completeness: CompletenessResult
     whole_model_score: ChecklistScore
-    per_nfr_scores: tuple[ChecklistScore, ...]
     matrix: TraceabilityMatrix
     criticality: CriticalityReport
 
@@ -82,8 +80,8 @@ def build_bundle(model: Model, mode: ThresholdMode = ThresholdMode.mean(), *,
     completeness = compute_mcr(model)
     matrix = build_traceability_matrix(model, diagnostics=diagnostics)
     return ReportBundle(model, tuple(diagnostics), completeness,
-                        score_checklist(model), tuple(map(score_nfr, model.nfrs)),
-                        matrix, rank_criticality(matrix, mode))
+                        score_checklist(model), matrix,
+                        rank_criticality(matrix, mode))
 
 
 def iter_matrix_table(matrix: TraceabilityMatrix,
@@ -192,8 +190,9 @@ def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
         ("Diagnostics", bulleted(map(_diagnostic_line, bundle.diagnostics)
                                  if bundle.diagnostics else ["none"])),
         ("Completeness", bulleted([mcr_line(bundle.completeness)])),
-        ("Validation", bulleted(map(validation_line, chain(
-            [bundle.whole_model_score], bundle.per_nfr_scores)))),
+        ("Validation", bulleted(chain(
+            [validation_line("validation", bundle.whole_model_score)],
+            (validation_line(nfr.id, score_nfr(nfr)) for nfr in model.nfrs)))),
         # next() runs the table's checks now, before the first line.
         ("Traceability", chain(fence, _trimmed(next(table), table), fence)),
         ("Critical NFRs", bulleted(_critical_lines(bundle))),
@@ -277,11 +276,11 @@ def iter_json(bundle: ReportBundle) -> Iterator[str]:
            f'  "checklist": {{\n'
            f'    "whole_model": {_json_score(bundle.whole_model_score, "    ")},\n'
            f'    "per_nfr": ')
-    # As a dict would: the first position of a repeated id, its last value.
-    per_nfr = {score.subject: score for score in bundle.per_nfr_scores}
+    # As a dict would: the first position of a repeated id, its last NFR.
+    per_nfr = {nfr.id: nfr for nfr in model.nfrs}
     yield from _json_members(
-        (f"{_encode(subject)}: {_json_score(score, '      ')}"
-         for subject, score in per_nfr.items()), "    ", "{}")
+        (f"{_encode(nfr_id)}: {_json_score(score_nfr(nfr), '      ')}"
+         for nfr_id, nfr in per_nfr.items()), "    ", "{}")
     yield (f'\n  }},\n  "matrix": {{\n'
            f'    "nfr_ids": {_json_array(matrix.nfr_ids, "    ")},\n'
            f'    "goal_ids": {_json_array(matrix.goal_ids, "    ")},\n'

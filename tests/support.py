@@ -289,6 +289,29 @@ def comment_variant(text: str, rng) -> str:
         ("", " ", "\t")) + rng.choice(_COMMENTS))
 
 
+def repeated_check_variant(text: str, rng, nfr_ids) -> tuple[str, bool] | None:
+    """``text`` with the last ``check`` line for one (NFR id, question)
+    whose id is in ``nfr_ids`` copied to a random later line, and whether
+    the copy went to the end of the file; None if ``text`` has no such
+    line.  Lines are read by the parser's token walker, so every check
+    line counts however it is spelled; ``text`` must end with a LF."""
+    assert text.endswith("\n")
+    lines = text.split("\n")
+    last = {}
+    for number, line in enumerate(lines, start=1):
+        fields = dsl._parse_line(line.removesuffix("\r"), number)
+        if isinstance(fields, tuple) and fields[0] in nfr_ids:
+            last[fields[:2]] = number - 1
+    if not last:
+        return None
+    source = rng.choice(sorted(last.values()))
+    # Half of the copies go to the end, past the text's last LF.
+    end = len(lines) - 1
+    target = rng.choice((end, rng.randint(source + 1, end)))
+    lines.insert(target, lines[source])
+    return "\n".join(lines), target == end
+
+
 def run_cli(argv, stdin_bytes: bytes | None = None) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

@@ -1,6 +1,7 @@
 """Command behavior, exit codes and stream discipline of the CLI."""
 
 import io
+import json
 import os
 import random
 import shutil
@@ -18,7 +19,7 @@ from nfr4.analysis import (
     build_traceability_matrix,
     rank_criticality,
 )
-from nfr4.dsl import parse, serialize
+from nfr4.dsl import SerializeError, parse, serialize
 from nfr4.fixtures import ATM_PATH, LIBRARY_PATH
 from nfr4.model import validate_structure
 from nfr4.report import (
@@ -39,6 +40,7 @@ from support import (
     fuzz_line,
     mutate,
     random_model,
+    repeated_check_variant,
     run_cli,
     wide_model_text,
 )
@@ -797,6 +799,64 @@ def test_blanks_and_trailing_comments_change_no_parse():
                         == run_cli([*command, "-"], text.encode()), \
                         (relation.__name__, command)
         files += 1
+
+
+def test_a_repeated_check_and_a_round_trip_change_no_parse():
+    # A copy of the last answer to a question, put later, answers it the
+    # same; put at the end, it moves no line either, so every command's
+    # output stays equal (checked once).  A model that serialize accepts
+    # reads back equal; once, its commands are run, where only line
+    # numbers may differ.  Each relation runs on 200 fuzzed files that
+    # parse.
+    rng = random.Random(1010)
+    repeated = round_trips = 0
+    commands_run = set()
+    while repeated < 200 or round_trips < 200:
+        text = _mutated_model_text(rng)
+        parsed = parse(text)
+        if isinstance(parsed, list):
+            continue
+        copied = repeated_check_variant(text, rng,
+                                        {nfr.id for nfr in parsed.nfrs})
+        if copied is not None:
+            variant, at_end = copied
+            assert parse(variant) == parsed, (text, variant)
+            if at_end:
+                assert repr(parse(variant)) == repr(parsed), (text, variant)
+                if "repeat" not in commands_run:
+                    commands_run.add("repeat")
+                    for command in PIPELINE_COMMANDS:
+                        assert run_cli([*command, "-"], variant.encode()) \
+                            == run_cli([*command, "-"], text.encode()), command
+            repeated += 1
+        try:
+            canonical = serialize(parsed)
+        except SerializeError:
+            continue
+        assert parse(canonical) == parsed, text
+        round_trips += 1
+        # Once, on a model with warnings that every command analyses.
+        diagnostics = validate_structure(parsed)
+        if "round trip" in commands_run or not diagnostics \
+                or any(d.severity == "error" for d in diagnostics) \
+                or not parsed.nfrs or not parsed.goals:
+            continue
+        commands_run.add("round trip")
+        for command in (["metrics"], ["matrix"], ["critical"]):
+            code, out, _ = run_cli([*command, "-"], text.encode())
+            assert (code, out) == run_cli([*command, "-"],
+                                          canonical.encode())[:2], command
+        reports = []
+        for source in (text, canonical):
+            code, out, _ = run_cli(["report", "--format", "json", "-"],
+                                   source.encode())
+            assert code == 0
+            report = json.loads(out)
+            for diagnostic in report["diagnostics"]:
+                del diagnostic["line"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+    assert commands_run == {"repeat", "round trip"}
 
 
 # ------------------------------------------------------- installed script

@@ -157,6 +157,9 @@ def test_check_applies_to_one_based_slot():
 def test_duplicate_check_last_one_wins():
     model = parsed(CANONICAL + "check n 1 no\n")
     assert model.nfrs[0].checklist.answers[0] == "no"
+    # So also among the answers that wait for their NFR to be declared.
+    model = parsed('system "T"\ncheck n 1 no\ncheck n 1 yes\nnfr n "N" on g\n')
+    assert model.nfrs[0].checklist.answers[0] == "yes"
 
 
 def test_check_may_precede_its_nfr():
@@ -445,6 +448,13 @@ def test_serialize_omits_unanswered_slots():
 def test_fixture_round_trips(library_model, atm_model):
     for model in (library_model, atm_model):
         assert parse(serialize(model)) == model
+
+
+def test_round_trip_keeps_repeated_references():
+    model = parsed('system "T"\nstakeholder s "S"\ngoal g "G" for s, s\n'
+                   'subgoal sg "SG" of g, g\nnfr n "N" on g, sg, g, sg\n')
+    assert model.goals[0].owners == ("s", "s")
+    assert parse(serialize(model)) == model
 
 
 def test_atm_serialization_contains_goal_level_attachment(atm_model):

@@ -20,6 +20,7 @@ from nfr4.analysis import (
 from nfr4.dsl import parse
 from nfr4.fixtures import ATM_PATH, LIBRARY_PATH
 from nfr4.model import (
+    ChecklistRecord,
     Goal,
     Model,
     Nfr,
@@ -86,15 +87,20 @@ def reference_table(matrix, criticality, legend=True):
     return "\n".join(lines) + "\n"
 
 
+def counted_score(nfr):
+    """An NFR's ``"per_nfr"`` entry, its answers counted here: the oracle
+    that ``score_nfr`` and the renderers are checked against."""
+    answers = nfr.checklist.answers
+    yes = answers.count("yes")
+    return {"yes": yes,
+            "answered": sum(answer != "unanswered" for answer in answers),
+            "metric": format_ratio(Fraction(yes, 8))}
+
+
 def reference_json(bundle):
     """The whole report as one dict through ``json.dumps``, dense marks
     included: the oracle that ``export_json`` must match byte for byte."""
-    model = bundle.model
-
-    def score_obj(score):
-        return {"yes": score.yes_count, "answered": score.answered_count,
-                "metric": format_ratio(score.metric)}
-
+    model, whole = bundle.model, bundle.whole_model_score
     report = bundle.criticality
     data = {
         "system": model.system_name,
@@ -116,8 +122,10 @@ def reference_json(bundle):
             "value": format_ratio(bundle.completeness.mcr),
         },
         "checklist": {
-            "whole_model": score_obj(bundle.whole_model_score),
-            "per_nfr": {s.subject: score_obj(s) for s in bundle.per_nfr_scores},
+            "whole_model": {"yes": whole.yes_count,
+                            "answered": whole.answered_count,
+                            "metric": format_ratio(whole.metric)},
+            "per_nfr": {nfr.id: counted_score(nfr) for nfr in model.nfrs},
         },
         "matrix": {
             "nfr_ids": list(bundle.matrix.nfr_ids),
@@ -206,12 +214,12 @@ def test_mcr_line_uses_bracket_notation():
 
 
 def test_validation_line_labels():
-    whole = ChecklistScore(None, 8, 8, Fraction(1))
-    assert validation_line(whole) == "validation: 8/8 = 1.0000"
-    single = ChecklistScore("usability", 4, 6, Fraction(1, 2))
-    assert validation_line(single) == "usability: 4/8 = 0.5000"
-    blank = ChecklistScore(None, 0, 0, Fraction(0))
-    assert validation_line(blank) == "validation: 0/8 = 0.0000"
+    whole = ChecklistScore(8, 8, Fraction(1))
+    assert validation_line("validation", whole) == "validation: 8/8 = 1.0000"
+    single = ChecklistScore(4, 6, Fraction(1, 2))
+    assert validation_line("usability", single) == "usability: 4/8 = 0.5000"
+    blank = ChecklistScore(0, 0, Fraction(0))
+    assert validation_line("validation", blank) == "validation: 0/8 = 0.0000"
 
 
 # ----------------------------------------------------------------- bundle
@@ -222,7 +230,7 @@ def test_bundle_snapshot_is_consistent(library_model):
     assert bundle.model is library_model
     assert bundle.diagnostics == ()
     assert bundle.completeness.n_c == 6
-    assert [s.subject for s in bundle.per_nfr_scores] \
+    assert list(json.loads(export_json(bundle))["checklist"]["per_nfr"]) \
         == [n.id for n in library_model.nfrs]
     assert bundle.criticality.critical == ("usability", "performance")
 
@@ -262,15 +270,15 @@ def test_bundle_agrees_with_given_diagnostics_and_per_id_scores():
         bundle = build_bundle(model)
         assert bundle \
             == build_bundle(model, diagnostics=validate_structure(model))
-        # The reference counts the answers here, independent of score_nfr.
-        expected = []
-        for nfr in model.nfrs:
-            answers = nfr.checklist.answers
-            yes = answers.count("yes")
-            answered = sum(answer != "unanswered" for answer in answers)
-            expected.append(ChecklistScore(nfr.id, yes, answered,
-                                           Fraction(yes, 8)))
-        assert bundle.per_nfr_scores == tuple(expected)
+        # The reference counts the answers, independent of score_nfr.
+        expected = [(nfr.id, counted_score(nfr)) for nfr in model.nfrs]
+        summary = render_summary(bundle).splitlines()
+        start = summary.index("Validation") + 2
+        assert summary[start:start + len(expected) + 1] == [
+            *(f"  {nfr_id}: {score['yes']}/8 = {score['metric']}"
+              for nfr_id, score in expected), ""]
+        assert json.loads(export_json(bundle))["checklist"]["per_nfr"] \
+            == dict(expected)
 
 
 def test_bundle_carries_warnings_through():
@@ -657,21 +665,23 @@ def test_json_repeated_ids_keep_dict_semantics(library_model):
     "scores": each key keeps its first position and its last value, as
     the reference's dicts do."""
     bundle = build_bundle(library_model)
-    first, second = bundle.per_nfr_scores[:2]
+    first = library_model.nfrs[0]
+    unanswered = replace(first, checklist=ChecklistRecord())
     matrix, report = bundle.matrix, bundle.criticality
     repeated = replace(
         bundle,
-        per_nfr_scores=(*bundle.per_nfr_scores,
-                        replace(second, subject=first.subject)),
-        matrix=replace(matrix, nfr_ids=(*matrix.nfr_ids, first.subject),
+        model=replace(library_model,
+                      nfrs=(*library_model.nfrs, unanswered)),
+        matrix=replace(matrix, nfr_ids=(*matrix.nfr_ids, first.id),
                        nfr_names=(*matrix.nfr_names, "Repeated"),
                        rows=(*matrix.rows, ())),
         criticality=replace(report, scores=(*report.scores, 99)))
     text = export_json(repeated)
     assert text == reference_json(repeated)
     data = json.loads(text)
-    assert list(data["checklist"]["per_nfr"])[0] == first.subject
-    assert data["criticality"]["scores"][first.subject] == 99
+    assert list(data["checklist"]["per_nfr"])[0] == first.id
+    assert data["checklist"]["per_nfr"][first.id]["answered"] == 0
+    assert data["criticality"]["scores"][first.id] == 99
 
 
 def test_json_atm_critical_set(atm_model):
