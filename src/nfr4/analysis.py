@@ -242,16 +242,15 @@ class ThresholdMode:
 
 @dataclass(frozen=True, slots=True)
 class CriticalityReport:
-    """Row scores and the NFRs singled out as critical.
+    """The threshold and the matrix rows singled out as critical.
 
-    ``critical`` is ordered by descending score, ties by declaration
-    order; ``scores[i]`` is the score of the matrix's row i.
+    ``critical`` holds row indices, ordered by descending score, ties by
+    row; row i's score is ``matrix.row_sum(i)``.
     """
 
-    scores: tuple[int, ...]
     threshold_mode: ThresholdMode
     threshold_value: Fraction
-    critical: tuple[str, ...]
+    critical: tuple[int, ...]
 
 
 def rank_criticality(matrix: TraceabilityMatrix,
@@ -284,5 +283,4 @@ def rank_criticality(matrix: TraceabilityMatrix,
     else:
         raise ValueError(f"unknown threshold mode: {mode.kind!r}")
 
-    return CriticalityReport(scores, mode, threshold,
-                             tuple(matrix.nfr_ids[i] for i in chosen))
+    return CriticalityReport(mode, threshold, tuple(chosen))

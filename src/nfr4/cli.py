@@ -28,7 +28,6 @@ import reprlib
 import sys
 from collections.abc import Iterable
 from itertools import chain
-from pathlib import Path
 
 from .analysis import (
     EmptyMatrixError,
@@ -176,7 +175,8 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
     where = "<stdin>" if args.input == "-" else args.input
     try:
         if args.input != "-":
-            raw = Path(args.input).read_bytes()
+            with open(args.input, "rb") as file:
+                raw = file.read()
         elif sys.stdin is None:  # fd 0 was closed at launch
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
@@ -211,10 +211,11 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
     criticality = rank_criticality(matrix, args.mode)
     if args.command == "matrix":
         return iter_matrix_table(matrix, criticality, legend=args.legend)
-    return [*(f"{nfr_id}: {score}\n" for nfr_id, score
-              in zip(matrix.nfr_ids, criticality.scores)),
+    critical = ", ".join(matrix.nfr_ids[i] for i in criticality.critical)
+    return [*(f"{nfr_id}: {len(marked)}\n" for nfr_id, marked
+              in zip(matrix.nfr_ids, matrix.rows)),
             f"{threshold_line(criticality)}\n",
-            f"critical: {', '.join(criticality.critical)}".rstrip() + "\n"]
+            f"critical: {critical}".rstrip() + "\n"]
 
 
 def main(argv: list[str] | None = None) -> None:

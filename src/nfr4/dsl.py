@@ -34,8 +34,8 @@ connective and ids.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import (
     CHECKLIST_SIZE,
@@ -96,11 +96,11 @@ class SerializeError(ValueError):
     """Raised when a model cannot be expressed in the DSL."""
 
 
-class _Token(NamedTuple):
-    kind: str  # word | string | comma
-    text: str
-    column: int
-    end: int  # column just past the token, closing quote included
+_Token = namedtuple("_Token", (
+    "kind",  # word | string | comma
+    "text",
+    "column",
+    "end"))  # column just past the token, closing quote included
 
 
 def _parse_line(text: str, lineno: int) -> tuple | ParseError | None:

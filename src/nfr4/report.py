@@ -96,7 +96,7 @@ def iter_matrix_table(matrix: TraceabilityMatrix,
 
     goal_headers = [f"G{j + 1}" for j in range(len(matrix.goal_ids))]
     name_width = max(len("NFR"), max(len(name) for name in matrix.nfr_names))
-    score_width = max(len("score"), max(len(str(s)) for s in criticality.scores))
+    score_width = max(len("score"), len(str(max(map(len, matrix.rows)))))
     critical_set = set(criticality.critical)
 
     def row(cells: list[str]) -> str:
@@ -116,8 +116,8 @@ def iter_matrix_table(matrix: TraceabilityMatrix,
         for j in marked:
             goal_cells[starts[j]] = cross
         yield row([name.ljust(name_width), goal_cells.decode(),
-                   str(criticality.scores[i]).ljust(score_width),
-                   "*" if matrix.nfr_ids[i] in critical_set else ""])
+                   str(len(marked)).ljust(score_width),
+                   "*" if i in critical_set else ""])
 
     if legend:
         yield "\n"
@@ -140,14 +140,6 @@ def render_matrix_table(matrix: TraceabilityMatrix,
 def _diagnostic_line(diagnostic: Diagnostic) -> str:
     where = f" (line {diagnostic.source_line})" if diagnostic.source_line else ""
     return f"{diagnostic.severity} {diagnostic.rule_id}: {diagnostic.message}{where}"
-
-
-def _critical_lines(bundle: ReportBundle) -> list[str]:
-    matrix, report = bundle.matrix, bundle.criticality
-    row = {nfr_id: i for i, nfr_id in enumerate(matrix.nfr_ids)}
-    critical = [f"{matrix.nfr_names[i]} ({report.scores[i]})"
-                for i in map(row.__getitem__, report.critical)]
-    return [threshold_line(report), *(critical or ["none"])]
 
 
 def _trimmed(first: str, rest: Iterator[str]) -> Iterator[str]:
@@ -178,7 +170,8 @@ def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
     def bulleted(lines: Iterable[str]) -> Iterator[str]:
         return (f"{bullet}{line}\n" for line in lines)
 
-    table = iter_matrix_table(bundle.matrix, bundle.criticality)
+    matrix, criticality = bundle.matrix, bundle.criticality
+    table = iter_matrix_table(matrix, criticality)
     sections = (
         ("Model", bulleted([
             f"system: {model.system_name}",
@@ -195,7 +188,9 @@ def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
             (validation_line(nfr.id, score_nfr(nfr)) for nfr in model.nfrs)))),
         # next() runs the table's checks now, before the first line.
         ("Traceability", chain(fence, _trimmed(next(table), table), fence)),
-        ("Critical NFRs", bulleted(_critical_lines(bundle))),
+        ("Critical NFRs", bulleted(chain([threshold_line(criticality)], [
+            f"{matrix.nfr_names[i]} ({matrix.row_sum(i)})"
+            for i in criticality.critical] or ["none"]))),
     )
     for title, lines in sections:
         yield f"{lead}{heading}{title}\n{gap}"
@@ -287,13 +282,14 @@ def iter_json(bundle: ReportBundle) -> Iterator[str]:
            f'    "marks": ')
     yield from _json_members(_json_marks_rows(matrix), "    ")
     yield '\n  },\n  "criticality": {\n    "scores": '
-    scores = dict(zip(matrix.nfr_ids, report.scores))
+    scores = dict(zip(matrix.nfr_ids, map(len, matrix.rows)))
     yield from _json_members(
         (f"{_encode(nfr_id)}: {score}" for nfr_id, score in scores.items()),
         "    ", "{}")
+    critical = (matrix.nfr_ids[i] for i in report.critical)
     yield (f',\n    "threshold_mode": {_encode(str(report.threshold_mode))},\n'
            f'    "threshold_value": "{format_ratio(report.threshold_value)}",\n'
-           f'    "critical": {_json_array(report.critical, "    ")}\n  }}\n}}')
+           f'    "critical": {_json_array(critical, "    ")}\n  }}\n}}')
 
 
 def export_json(bundle: ReportBundle) -> str:

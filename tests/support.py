@@ -1,8 +1,9 @@
 """Shared test helpers.
 
 The model generator builds structurally clean models by construction,
-the matrix oracle recomputes marks by direct scanning, and the CLI
-runner drives the real entry point in-process.  None of them reuse the
+the matrix oracle recomputes marks by direct scanning, the ranking
+oracle picks the critical rows by the definition, and the CLI runner
+drives the real entry point in-process.  None of them reuse the
 library's own derivation logic, so they can serve as oracles for it.
 
 The grammar fuzzer derives well-formed statements from the grammar token
@@ -17,6 +18,7 @@ import re
 import string
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from nfr4 import cli, dsl
 from nfr4.model import (
@@ -221,6 +223,20 @@ def marks_to_rows(marks) -> tuple[tuple[int, ...], ...]:
 def rows_to_marks(rows, width: int) -> tuple[tuple[bool, ...], ...]:
     """Sparse rows of marked column indices to dense boolean rows."""
     return tuple(tuple(j in row for j in range(width)) for row in rows)
+
+
+def oracle_ranking(scores, mode):
+    """Threshold and critical indices by the definition: order by
+    (-score, index), compare each score with the exact Fraction."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    if mode.kind == "mean":
+        threshold = Fraction(sum(scores), len(scores))
+        return threshold, [i for i in order if Fraction(scores[i]) > threshold]
+    if mode.kind == "top_k":
+        chosen = order[:mode.parameter]
+        return Fraction(min(scores[i] for i in chosen)), chosen
+    threshold = Fraction(mode.parameter)
+    return threshold, [i for i in order if Fraction(scores[i]) >= threshold]
 
 
 def marked_goals(matrix) -> dict[str, set[str]]:

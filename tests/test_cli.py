@@ -4,10 +4,12 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,12 +37,15 @@ from nfr4.report import (
 from support import (
     blank_variant,
     bom_variant,
+    brute_force_marks,
     comment_variant,
     crlf_variant,
     fuzz_line,
     mutate,
+    oracle_ranking,
     random_model,
     repeated_check_variant,
+    rows_to_marks,
     run_cli,
     wide_model_text,
 )
@@ -157,6 +162,23 @@ def test_check_unreadable_file(tmp_path):
     code, _, err = run_cli(["check", str(tmp_path / "missing.nfr4")])
     assert code == 1
     assert "cannot read" in err
+
+
+def test_read_error_quotes_a_missing_path_as_typed(tmp_path):
+    path = f"{tmp_path}/nope//x.nfr4"
+    code, out, err = run_cli(["check", path])
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot read {path}: [Errno 2] No such file or"
+                   f" directory: {path!r}\n")
+
+
+def test_read_error_quotes_a_directory_as_typed(tmp_path):
+    (tmp_path / "d").mkdir()
+    path = f"{tmp_path}/d/"
+    code, out, err = run_cli(["report", path])
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {path}: [Errno 21] Is a directory:"
+                   f" {path!r}\n")
 
 
 @pytest.mark.parametrize("command, code", [("check", 1), ("report", 2)])
@@ -320,9 +342,10 @@ def test_critical_without_nfrs_is_precondition_error(model_file):
 
 
 def test_critical_nfrs_are_read_at_their_matrix_rows():
-    # Only the matrix stores the NFR ids: the summary finds each critical
+    # The ranking picks matrix rows: the summary finds each critical
     # NFR's name and score at its row, and `critical` pairs the ids with
-    # the scores in row order.
+    # the scores in row order.  Scores are counted from the dense marks
+    # and the rows come from the ranking oracle.
     rng = random.Random(2323)
     modes = {"mean": ThresholdMode.mean(), "top_k=2": ThresholdMode.top_k(2),
              "absolute=5/2": ThresholdMode.absolute("5/2")}
@@ -335,17 +358,18 @@ def test_critical_nfrs_are_read_at_their_matrix_rows():
         for text_mode, mode in modes.items():
             bundle = build_bundle(model, mode)
             matrix, report = bundle.matrix, bundle.criticality
-            rows = [matrix.nfr_ids.index(nfr_id) for nfr_id in report.critical]
+            scores = [sum(row) for row in brute_force_marks(model)]
+            rows = oracle_ranking(scores, mode)[1]
             section = render_summary(bundle).rpartition("\nCritical NFRs\n")[2]
             assert section.split("\n") == [
                 f"  {threshold_line(report)}",
-                *([f"  {matrix.nfr_names[i]} ({report.scores[i]})"
+                *([f"  {matrix.nfr_names[i]} ({scores[i]})"
                    for i in rows] or ["  none"]), ""]
             code, out, _ = run_cli(["critical", "--mode", text_mode, "-"], text)
             assert code == 0
             assert out.split("\n")[:len(matrix.nfr_ids)] == [
                 f"{nfr_id}: {score}"
-                for nfr_id, score in zip(matrix.nfr_ids, report.scores)]
+                for nfr_id, score in zip(matrix.nfr_ids, scores)]
             counts.add(len(rows))
     assert 0 in counts and max(counts) > 2
 
@@ -396,16 +420,21 @@ def test_report_and_matrix_stream_their_output(model_file):
     # more than a sliver of the output.
     path = model_file(wide_model_text(random.Random(1010), 300, 300))
     bundle = build_bundle(parse(Path(path).read_bytes()))
+    nfr_ids = bundle.matrix.nfr_ids
+    scores = [sum(row) for row in rows_to_marks(bundle.matrix.rows,
+                                                len(bundle.matrix.goal_ids))]
+    critical = ", ".join(nfr_ids[i] for i in oracle_ranking(
+        scores, ThresholdMode.mean())[1])
     for argv, expected in (
         (["report"], render_summary(bundle)),
         (["report", "--format", "markdown"], render_summary(bundle, "markdown")),
         (["report", "--format", "json"], export_json(bundle) + "\n"),
         (["matrix"], render_matrix_table(bundle.matrix, bundle.criticality)),
         (["critical"], "".join(
-            [*(f"{nfr_id}: {score}\n" for nfr_id, score in zip(
-                bundle.matrix.nfr_ids, bundle.criticality.scores)),
+            [*(f"{nfr_id}: {score}\n"
+               for nfr_id, score in zip(nfr_ids, scores)),
              f"{threshold_line(bundle.criticality)}\n",
-             f"critical: {', '.join(bundle.criticality.critical)}\n"])),
+             f"critical: {critical}\n"])),
     ):
         out, err = _RecordingStdout(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), \
@@ -857,6 +886,81 @@ def test_a_repeated_check_and_a_round_trip_change_no_parse():
             reports.append(report)
         assert reports[0] == reports[1]
     assert commands_run == {"repeat", "round trip"}
+
+
+def _renamed(model, fresh):
+    """``model`` with every id, and every reference to one, replaced by
+    its entry in ``fresh``."""
+    def ids(refs):
+        return tuple(map(fresh.__getitem__, refs))
+    return replace(
+        model,
+        stakeholders=tuple(replace(s, id=fresh[s.id])
+                           for s in model.stakeholders),
+        goals=tuple(replace(g, id=fresh[g.id], owners=ids(g.owners))
+                    for g in model.goals),
+        subgoals=tuple(replace(s, id=fresh[s.id], parents=ids(s.parents))
+                       for s in model.subgoals),
+        nfrs=tuple(replace(n, id=fresh[n.id],
+                           attached_subgoals=ids(n.attached_subgoals),
+                           attached_goals=ids(n.attached_goals))
+                   for n in model.nfrs),
+        unresolved_checks=tuple(replace(c, nfr_id=fresh[c.nfr_id])
+                                for c in model.unresolved_checks))
+
+
+def _ids_put_back(data, back):
+    """A JSON report with each id, and each quoted id in a diagnostic's
+    message, replaced by its entry in ``back``; key order is kept."""
+    def ids(values):
+        return [back[value] for value in values]
+    for layer in data["layers"].values():
+        layer["ids"] = ids(layer["ids"])
+    for diagnostic in data["diagnostics"]:
+        diagnostic["subject"] = back[diagnostic["subject"]]
+        diagnostic["message"] = re.sub(
+            r"'([^']*)'", lambda m: f"'{back[m[1]]}'", diagnostic["message"])
+    checklist, matrix = data["checklist"], data["matrix"]
+    checklist["per_nfr"] = {back[key]: value
+                            for key, value in checklist["per_nfr"].items()}
+    matrix["nfr_ids"], matrix["goal_ids"] = (ids(matrix["nfr_ids"]),
+                                             ids(matrix["goal_ids"]))
+    criticality = data["criticality"]
+    criticality["scores"] = {back[key]: value
+                             for key, value in criticality["scores"].items()}
+    criticality["critical"] = ids(criticality["critical"])
+    return data
+
+
+def test_renaming_every_id_changes_no_report():
+    # Ids name elements and nothing else: order, scores, ranking ties and
+    # diagnostics follow declaration order.  Each fuzzed model that passes
+    # the gate gets fresh ids in reverse lexical order, and its JSON report
+    # must equal the original's once the ids are put back.
+    rng = random.Random(2626)
+    modes = (ThresholdMode.mean(), ThresholdMode.top_k(2),
+             ThresholdMode.absolute(2))
+    models = 0
+    while models < 200:
+        model = parse(_mutated_model_text(rng))
+        if isinstance(model, list) or not model.nfrs:
+            continue
+        diagnostics = validate_structure(model)
+        if any(d.severity == "error" for d in diagnostics):
+            continue
+        mode = modes[models % len(modes)]
+        originals = sorted({e.id for e in (*model.stakeholders, *model.goals,
+                                           *model.subgoals, *model.nfrs)})
+        fresh = {old: f"r{len(originals) - k:03d}"
+                 for k, old in enumerate(originals)}
+        renamed = _renamed(model, fresh)
+        expected = export_json(build_bundle(model, mode,
+                                            diagnostics=diagnostics))
+        actual = json.loads(export_json(build_bundle(renamed, mode)))
+        back = {new: old for old, new in fresh.items()}
+        assert json.dumps(_ids_put_back(actual, back), indent=2,
+                          ensure_ascii=False) == expected
+        models += 1
 
 
 # ------------------------------------------------------- installed script

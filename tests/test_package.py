@@ -1,6 +1,7 @@
 """The package's import graph: ``import nfr4`` binds nothing, each
 submodule loads only the modules it needs, and uses every name it
-imports."""
+imports, and no module but ``nfr4.fixtures`` imports ``typing`` or
+``pathlib``."""
 
 import ast
 import json
@@ -72,3 +73,23 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_module_but_fixtures_imports_typing_or_pathlib():
+    # Neither is needed at start-up; nfr4.fixtures hands out Paths and is
+    # not imported by the CLI.
+    found = []
+    for path in sorted(Path(PACKAGE_ROOT, "nfr4").rglob("*.py")):
+        if path.parent.name == "fixtures":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {module}"
+                      for module in modules
+                      if module.partition(".")[0] in ("typing", "pathlib")]
+    assert found == []

@@ -11,6 +11,7 @@ import pytest
 from nfr4.analysis import (
     ChecklistScore,
     CompletenessResult,
+    EmptyMatrixError,
     EmptyModelError,
     InvalidModelError,
     ThresholdMode,
@@ -41,7 +42,12 @@ from nfr4.report import (
     validation_line,
 )
 
-from support import marks_to_rows, random_model, rows_to_marks
+from support import (
+    marks_to_rows,
+    oracle_ranking,
+    random_model,
+    rows_to_marks,
+)
 
 
 def table_marks(table, n_rows):
@@ -59,14 +65,26 @@ def table_marks(table, n_rows):
     return tuple(marks)
 
 
+def reference_ranking(matrix, mode):
+    """Each row's score counted from the dense marks, and the threshold
+    and critical rows the ranking oracle picks from those scores.  A
+    matrix the analysis refuses to rank has no critical rows."""
+    marks = rows_to_marks(matrix.rows, len(matrix.goal_ids))
+    scores = [sum(row) for row in marks]
+    if not scores or not matrix.goal_ids:
+        return marks, scores, None, []
+    return marks, scores, *oracle_ranking(scores, mode)
+
+
 def reference_table(matrix, criticality, legend=True):
     """The table rendered cell by cell from dense marks: the oracle that
     ``render_matrix_table`` must match byte for byte."""
-    marks = rows_to_marks(matrix.rows, len(matrix.goal_ids))
+    marks, scores, _, critical = reference_ranking(
+        matrix, criticality.threshold_mode)
     goal_headers = [f"G{j + 1}" for j in range(len(matrix.goal_ids))]
     name_width = max(len("NFR"), max(len(name) for name in matrix.nfr_names))
-    score_width = max(len("score"), max(len(str(s)) for s in criticality.scores))
-    critical_set = set(criticality.critical)
+    score_width = max(len("score"), max(len(str(s)) for s in scores))
+    critical_set = set(critical)
 
     def row(cells):
         return "  ".join(cells).rstrip()
@@ -77,8 +95,8 @@ def reference_table(matrix, criticality, legend=True):
         cells = [name.ljust(name_width)]
         for j, header in enumerate(goal_headers):
             cells.append(("X" if marks[i][j] else "").ljust(len(header)))
-        cells.append(str(criticality.scores[i]).ljust(score_width))
-        cells.append("*" if matrix.nfr_ids[i] in critical_set else "")
+        cells.append(str(scores[i]).ljust(score_width))
+        cells.append("*" if i in critical_set else "")
         lines.append(row(cells))
     if legend:
         lines.append("")
@@ -101,7 +119,9 @@ def reference_json(bundle):
     """The whole report as one dict through ``json.dumps``, dense marks
     included: the oracle that ``export_json`` must match byte for byte."""
     model, whole = bundle.model, bundle.whole_model_score
-    report = bundle.criticality
+    matrix, report = bundle.matrix, bundle.criticality
+    marks, scores, threshold, critical = reference_ranking(
+        matrix, report.threshold_mode)
     data = {
         "system": model.system_name,
         "layers": {
@@ -128,16 +148,16 @@ def reference_json(bundle):
             "per_nfr": {nfr.id: counted_score(nfr) for nfr in model.nfrs},
         },
         "matrix": {
-            "nfr_ids": list(bundle.matrix.nfr_ids),
-            "goal_ids": list(bundle.matrix.goal_ids),
-            "marks": [list(row) for row in rows_to_marks(
-                bundle.matrix.rows, len(bundle.matrix.goal_ids))],
+            "nfr_ids": list(matrix.nfr_ids),
+            "goal_ids": list(matrix.goal_ids),
+            "marks": [list(row) for row in marks],
         },
         "criticality": {
-            "scores": dict(zip(bundle.matrix.nfr_ids, report.scores)),
+            "scores": dict(zip(matrix.nfr_ids, scores)),
             "threshold_mode": str(report.threshold_mode),
-            "threshold_value": format_ratio(report.threshold_value),
-            "critical": list(report.critical),
+            "threshold_value": format_ratio(
+                report.threshold_value if threshold is None else threshold),
+            "critical": [matrix.nfr_ids[i] for i in critical],
         },
     }
     return json.dumps(data, indent=2, ensure_ascii=False)
@@ -232,7 +252,7 @@ def test_bundle_snapshot_is_consistent(library_model):
     assert bundle.completeness.n_c == 6
     assert list(json.loads(export_json(bundle))["checklist"]["per_nfr"]) \
         == [n.id for n in library_model.nfrs]
-    assert bundle.criticality.critical == ("usability", "performance")
+    assert bundle.criticality.critical == (0, 1)
 
 
 def test_bundle_requires_nfrs():
@@ -287,6 +307,28 @@ def test_bundle_carries_warnings_through():
                   (Nfr("n", "N", (), ("g",)), Nfr("loose", "Loose")))
     bundle = build_bundle(model)
     assert [d.severity for d in bundle.diagnostics] == ["warning"]
+
+
+def test_repeated_ids_are_ranked_and_rendered_by_row():
+    """The ranking picks rows, not ids.  With an id repeated (a bundle
+    built past the DUP error), every renderer reads each chosen row's
+    own name and score: the first ``x`` scores 2, the second 1."""
+    model = Model("S", (Stakeholder("s", "S"),),
+                  (Goal("g1", "G1", ("s",)), Goal("g2", "G2", ("s",))), (),
+                  (Nfr("x", "X first", (), ("g1", "g2")),
+                   Nfr("y", "Y", (), ("g1",)),
+                   Nfr("x", "X second", (), ("g2",))))
+    assert "DUP" in {d.rule_id for d in validate_structure(model)}
+    bundle = build_bundle(model, ThresholdMode.top_k(2), diagnostics=[])
+    matrix, criticality = bundle.matrix, bundle.criticality
+    assert criticality.critical == (0, 1)
+    table = render_matrix_table(matrix, criticality).splitlines()[1:4]
+    assert [i for i, line in enumerate(table) if line.endswith("*")] \
+        == list(criticality.critical)
+    assert render_summary(bundle).rpartition("\nCritical NFRs\n")[2] \
+        == "  threshold (top_k(2)): 1.0000\n  X first (2)\n  Y (1)\n"
+    assert json.loads(export_json(bundle))["criticality"]["critical"] \
+        == [matrix.nfr_ids[i] for i in criticality.critical] == ["x", "y"]
 
 
 # ------------------------------------------------------------------ table
@@ -606,7 +648,19 @@ def test_json_splice_survives_hostile_text(flat):
     data = json.loads(text)
     assert data["system"] == HOSTILE_TEXT
     assert marks_to_rows(data["matrix"]["marks"]) == bundle.matrix.rows
-    assert data["criticality"]["critical"] == list(bundle.criticality.critical)
+    assert data["criticality"]["critical"] \
+        == [bundle.matrix.nfr_ids[i] for i in bundle.criticality.critical]
+
+
+def with_matrix(bundle, matrix, **changes):
+    """``bundle`` over a hand-built matrix, ranked as the analysis ranks
+    it; a matrix it refuses to rank has no critical rows."""
+    try:
+        criticality = rank_criticality(matrix,
+                                       bundle.criticality.threshold_mode)
+    except EmptyMatrixError:
+        criticality = replace(bundle.criticality, critical=())
+    return replace(bundle, matrix=matrix, criticality=criticality, **changes)
 
 
 def test_json_degenerate_matrices_match_the_reference(library_model):
@@ -619,7 +673,7 @@ def test_json_degenerate_matrices_match_the_reference(library_model):
         replace(matrix, goal_ids=(), goal_names=(),
                 rows=((),) * len(matrix.rows)),
     ):
-        hand_built = replace(bundle, matrix=degenerate)
+        hand_built = with_matrix(bundle, degenerate)
         assert export_json(hand_built) == reference_json(hand_built)
 
 
@@ -649,7 +703,7 @@ def test_json_marks_rows_match_the_reference(library_model, width, rows):
                      goal_ids=tuple(f"g{j}" for j in range(width)),
                      goal_names=tuple(f"G{j}" for j in range(width)),
                      rows=rows)
-    hand_built = replace(bundle, matrix=matrix)
+    hand_built = with_matrix(bundle, matrix)
     assert export_json(hand_built) == reference_json(hand_built)
     # One piece per NFR row, then the closing bracket.
     pieces = marks_pieces(hand_built)
@@ -667,21 +721,22 @@ def test_json_repeated_ids_keep_dict_semantics(library_model):
     bundle = build_bundle(library_model)
     first = library_model.nfrs[0]
     unanswered = replace(first, checklist=ChecklistRecord())
-    matrix, report = bundle.matrix, bundle.criticality
-    repeated = replace(
+    matrix = bundle.matrix
+    repeated = with_matrix(
         bundle,
+        replace(matrix, nfr_ids=(*matrix.nfr_ids, first.id),
+                nfr_names=(*matrix.nfr_names, "Repeated"),
+                rows=(*matrix.rows, ())),
         model=replace(library_model,
-                      nfrs=(*library_model.nfrs, unanswered)),
-        matrix=replace(matrix, nfr_ids=(*matrix.nfr_ids, first.id),
-                       nfr_names=(*matrix.nfr_names, "Repeated"),
-                       rows=(*matrix.rows, ())),
-        criticality=replace(report, scores=(*report.scores, 99)))
+                      nfrs=(*library_model.nfrs, unanswered)))
     text = export_json(repeated)
     assert text == reference_json(repeated)
     data = json.loads(text)
     assert list(data["checklist"]["per_nfr"])[0] == first.id
     assert data["checklist"]["per_nfr"][first.id]["answered"] == 0
-    assert data["criticality"]["scores"][first.id] == 99
+    # The first row scores 7; the repeated id's last row scores 0.
+    assert list(data["criticality"]["scores"])[0] == first.id
+    assert data["criticality"]["scores"][first.id] == 0
 
 
 def test_json_atm_critical_set(atm_model):
