@@ -11,7 +11,6 @@ import re
 import reprlib
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -21,6 +20,7 @@ from .model import (
     Nfr,
     UNANSWERED,
     YES,
+    record,
     validate_structure,
 )
 
@@ -80,11 +80,8 @@ class InvalidModelError(ValueError):
             f" (first: {first})")
 
 
-@dataclass(frozen=True, slots=True)
-class CompletenessResult:
-    n_c: int
-    n_nv: int
-    mcr: Fraction
+class CompletenessResult(record("n_c n_nv mcr")):
+    __slots__ = ()
 
 
 def compute_mcr(model: Model) -> CompletenessResult:
@@ -101,13 +98,10 @@ def compute_mcr(model: Model) -> CompletenessResult:
     return CompletenessResult(n_c, n_nv, Fraction(n_c, n_c + n_nv))
 
 
-@dataclass(frozen=True, slots=True)
-class ChecklistScore:
+class ChecklistScore(record("yes_count answered_count metric")):
     """Validation score for one NFR, or for the whole model."""
 
-    yes_count: int
-    answered_count: int
-    metric: Fraction
+    __slots__ = ()
 
 
 def score_nfr(nfr: Nfr) -> ChecklistScore:
@@ -131,8 +125,7 @@ def score_checklist(model: Model) -> ChecklistScore:
     return ChecklistScore(yes, answered, _EIGHTHS[yes])
 
 
-@dataclass(frozen=True, slots=True)
-class TraceabilityMatrix:
+class TraceabilityMatrix(record("nfr_ids nfr_names goal_ids goal_names rows")):
     """NFR x goal incidence, rows and columns in declaration order.
 
     Rows are stored sparse, one per NFR (compressed sparse rows):
@@ -141,11 +134,7 @@ class TraceabilityMatrix:
     not with NFRs x goals.  Display names ride along for rendering.
     """
 
-    nfr_ids: tuple[str, ...]
-    nfr_names: tuple[str, ...]
-    goal_ids: tuple[str, ...]
-    goal_names: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def row_sum(self, row: int) -> int:
         return len(self.rows[row])
@@ -189,12 +178,11 @@ def build_traceability_matrix(model: Model, *,
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ThresholdMode:
-    """How the critical cutoff is chosen: mean, top_k or absolute."""
+class ThresholdMode(record("kind parameter", None)):
+    """How the critical cutoff is chosen: mean, top_k or absolute; the
+    parameter is top_k's int k or absolute's Fraction t."""
 
-    kind: str
-    parameter: Fraction | int | None = None
+    __slots__ = ()
 
     @classmethod
     def mean(cls) -> ThresholdMode:
@@ -240,17 +228,14 @@ class ThresholdMode:
         return f"{self.kind}({self.parameter})"
 
 
-@dataclass(frozen=True, slots=True)
-class CriticalityReport:
+class CriticalityReport(record("threshold_mode threshold_value critical")):
     """The threshold and the matrix rows singled out as critical.
 
     ``critical`` holds row indices, ordered by descending score, ties by
     row; row i's score is ``matrix.row_sum(i)``.
     """
 
-    threshold_mode: ThresholdMode
-    threshold_value: Fraction
-    critical: tuple[int, ...]
+    __slots__ = ()
 
 
 def rank_criticality(matrix: TraceabilityMatrix,

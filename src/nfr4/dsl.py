@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .model import (
     CHECKLIST_SIZE,
@@ -49,6 +48,7 @@ from .model import (
     UNANSWERED,
     UnresolvedCheck,
     YES,
+    record,
     validate_structure,
 )
 
@@ -82,14 +82,10 @@ _SCANNER = re.compile(
     r"|^()[^\n]*(?:\n|\Z)", re.MULTILINE)
 
 
-@dataclass(frozen=True, slots=True)
-class ParseError:
+class ParseError(record("kind line column message")):
     """One parse problem at a 1-based line and column."""
 
-    kind: str
-    line: int
-    column: int
-    message: str
+    __slots__ = ()
 
 
 class SerializeError(ValueError):
@@ -251,7 +247,7 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
             else:
                 fields = _parse_line(
                     match[0].removesuffix("\n").removesuffix("\r"), lineno)
-                if not isinstance(fields, tuple):
+                if type(fields) is not tuple:  # None, or a ParseError
                     if fields is not None:
                         errors.append(fields)
                     continue

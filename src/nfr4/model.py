@@ -2,17 +2,22 @@
 
 A model is a lattice of four ordered layers: stakeholders own goals,
 goals decompose into sub-goals, and NFRs attach to sub-goals or
-directly to goals.  All types are immutable and hashable.  Layer and
-edge fields (``owners``, ``parents``, ``attached_goals``,
-``attached_subgoals``, ``answers``) take tuples; lists are not converted.
-Construction is permissive (dangling references, empty edges and
-duplicate ids are allowed) so that ``validate_structure`` can report
-problems instead of the constructors rejecting them.
+directly to goals.  All types are immutable, hashable records built on
+``collections.namedtuple``: they iterate and have a ``len`` like any
+tuple, but equal only a record of their own class and have no order.
+``line`` is the source line, provenance that equality and hashing
+ignore.  ``record._replace(...)`` makes a changed copy; a
+``ChecklistRecord`` is checked again.  Layer and edge fields
+(``owners``, ``parents``, ``attached_goals``, ``attached_subgoals``,
+``answers``) take tuples; lists are not converted.  Construction is
+permissive (dangling references, empty edges and duplicate ids are
+allowed) so that ``validate_structure`` can report problems instead of
+the constructors rejecting them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 YES = "yes"
 NO = "no"
@@ -32,53 +37,69 @@ SEVERITY_BY_RULE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Stakeholder:
-    id: str
-    name: str
-    line: int | None = field(default=None, compare=False)
+def record(fields: str, *defaults, line: bool = False) -> type:
+    """A namedtuple class to subclass, with ``__slots__ = ()``, as a record.
+
+    A record equals only a record of its own class, never a plain tuple,
+    and has no order.  With ``line``, its last field is the source line:
+    provenance that ``==``, ``!=`` and ``hash`` ignore.
+    """
+    cls = namedtuple("record", fields, defaults=defaults)
+    end = -1 if line else None
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self[:end] == other[:end]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    cls.__eq__ = __eq__
+    cls.__hash__ = lambda self: hash(self[:end])
+    # object's, not tuple's: != inverts __eq__, and there is no order.
+    for name in ("__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        setattr(cls, name, getattr(object, name))
+    return cls
 
 
-@dataclass(frozen=True, slots=True)
-class Goal:
+class Stakeholder(record("id name line", None, line=True)):
+    __slots__ = ()
+
+
+class Goal(record("id name owners line", (), None, line=True)):
     """A goal and the stakeholders that own it (ids, declaration order)."""
 
-    id: str
-    name: str
-    owners: tuple[str, ...] = ()
-    line: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SubGoal:
+class SubGoal(record("id name parents line", (), None, line=True)):
     """A sub-goal and its parent goals (ids, declaration order).
 
     Sub-goals may have several parents: real systems share steps such
     as "enter pin" across goals.
     """
 
-    id: str
-    name: str
-    parents: tuple[str, ...] = ()
-    line: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ChecklistRecord:
+class ChecklistRecord(record("answers")):
     """Answers to the eight validation questions for one NFR.
 
     ``answers`` always has exactly eight slots, each ``yes``, ``no`` or
-    ``unanswered``.
+    ``unanswered``; ``_make`` and ``_replace`` check it too.
     """
 
-    answers: tuple[str, ...] = (UNANSWERED,) * CHECKLIST_SIZE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.answers) != CHECKLIST_SIZE:
+    def __new__(cls, answers=(UNANSWERED,) * CHECKLIST_SIZE):
+        if len(answers) != CHECKLIST_SIZE:
             raise ValueError(f"checklist must have {CHECKLIST_SIZE} answers")
-        for answer in self.answers:
+        for answer in answers:
             if answer not in ANSWERS:
                 raise ValueError(f"bad checklist answer: {answer!r}")
+        return tuple.__new__(cls, (answers,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def yes_count(self) -> int:
@@ -89,8 +110,8 @@ class ChecklistRecord:
         return CHECKLIST_SIZE - self.answers.count(UNANSWERED)
 
 
-@dataclass(frozen=True, slots=True)
-class Nfr:
+class Nfr(record("id name attached_subgoals attached_goals checklist line",
+                 (), (), ChecklistRecord(), None, line=True)):
     """A non-functional requirement and what it constrains.
 
     Attachments are split by target layer; goal-level attachment is the
@@ -98,52 +119,34 @@ class Nfr:
     than one of its sub-goals.
     """
 
-    id: str
-    name: str
-    attached_subgoals: tuple[str, ...] = ()
-    attached_goals: tuple[str, ...] = ()
-    checklist: ChecklistRecord = ChecklistRecord()
-    line: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class UnresolvedCheck:
+class UnresolvedCheck(record("nfr_id index answer line", None, line=True)):
     """A checklist statement whose NFR id did not resolve at parse time.
 
     Kept on the model so reference validation can report it.
     """
 
-    nfr_id: str
-    index: int
-    answer: str
-    line: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Model:
+class Model(record("system_name stakeholders goals subgoals nfrs"
+                   " unresolved_checks", (), (), (), (), ())):
     """One analyzed system: the four layers plus unresolved checks.
 
     Layer tuples preserve declaration order; every derived artifact
     (diagnostics, matrices, reports) follows that order.
     """
 
-    system_name: str
-    stakeholders: tuple[Stakeholder, ...] = ()
-    goals: tuple[Goal, ...] = ()
-    subgoals: tuple[SubGoal, ...] = ()
-    nfrs: tuple[Nfr, ...] = ()
-    unresolved_checks: tuple[UnresolvedCheck, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(record("rule_id severity message subject_id source_line",
+                        None)):
     """One structural finding from ``validate_structure``."""
 
-    rule_id: str
-    severity: str
-    message: str
-    subject_id: str
-    source_line: int | None = None
+    __slots__ = ()
 
 
 def validate_structure(model: Model) -> list[Diagnostic]:

@@ -11,7 +11,6 @@ holding it whole.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from json.encoder import encode_basestring as _encode
@@ -28,7 +27,7 @@ from .analysis import (
     score_checklist,
     score_nfr,
 )
-from .model import CHECKLIST_SIZE, Diagnostic, Model, validate_structure
+from .model import CHECKLIST_SIZE, Diagnostic, Model, record, validate_structure
 
 
 def format_ratio(value: Fraction) -> str:
@@ -54,16 +53,11 @@ def threshold_line(criticality: CriticalityReport) -> str:
             f" {format_ratio(criticality.threshold_value)}")
 
 
-@dataclass(frozen=True, slots=True)
-class ReportBundle:
+class ReportBundle(record("model diagnostics completeness whole_model_score"
+                          " matrix criticality")):
     """Everything the report renderers need, computed from one model."""
 
-    model: Model
-    diagnostics: tuple[Diagnostic, ...]
-    completeness: CompletenessResult
-    whole_model_score: ChecklistScore
-    matrix: TraceabilityMatrix
-    criticality: CriticalityReport
+    __slots__ = ()
 
 
 def build_bundle(model: Model, mode: ThresholdMode = ThresholdMode.mean(), *,
@@ -84,12 +78,22 @@ def build_bundle(model: Model, mode: ThresholdMode = ThresholdMode.mean(), *,
                         rank_criticality(matrix, mode))
 
 
+def _critical_rows(matrix: TraceabilityMatrix,
+                   criticality: CriticalityReport) -> set[int]:
+    """The critical rows; refused if one is not a row of ``matrix``."""
+    rows = range(len(matrix.rows))
+    if not all(i in rows for i in criticality.critical):
+        raise ValueError("criticality names a row the matrix does not have")
+    return set(criticality.critical)
+
+
 def iter_matrix_table(matrix: TraceabilityMatrix,
                       criticality: CriticalityReport,
                       legend: bool = True) -> Iterator[str]:
     """``render_matrix_table`` one line at a time, each with its newline.
 
-    An empty matrix is refused before the first line.
+    An empty matrix, and a criticality that names a row the matrix does
+    not have, are refused before the first line.
     """
     if not matrix.nfr_ids or not matrix.goal_ids:
         raise ValueError("cannot render an empty matrix")
@@ -97,7 +101,7 @@ def iter_matrix_table(matrix: TraceabilityMatrix,
     goal_headers = [f"G{j + 1}" for j in range(len(matrix.goal_ids))]
     name_width = max(len("NFR"), max(len(name) for name in matrix.nfr_names))
     score_width = max(len("score"), len(str(max(map(len, matrix.rows)))))
-    critical_set = set(criticality.critical)
+    critical_set = _critical_rows(matrix, criticality)
 
     def row(cells: list[str]) -> str:
         return "  ".join(cells).rstrip() + "\n"
@@ -155,8 +159,8 @@ def _trimmed(first: str, rest: Iterator[str]) -> Iterator[str]:
 def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
     """``render_summary`` one line at a time, each with its newline.
 
-    An unknown format and an empty matrix are refused before the first
-    line.
+    An unknown format, and a matrix that ``iter_matrix_table`` refuses,
+    are refused before the first line.
     """
     model = bundle.model
     if format == "text":
@@ -252,8 +256,11 @@ def _json_marks_rows(matrix: TraceabilityMatrix) -> Iterator[str]:
 
 def iter_json(bundle: ReportBundle) -> Iterator[str]:
     """``export_json`` in pieces: one per layer, diagnostic, per-NFR score,
-    ``marks`` row and criticality score, with the fixed parts between."""
+    ``marks`` row and criticality score, with the fixed parts between.
+    A criticality that names a row the matrix does not have is refused
+    before the first piece."""
     model, matrix, report = bundle.model, bundle.matrix, bundle.criticality
+    _critical_rows(matrix, report)
     yield f'{{\n  "system": {_encode(model.system_name)},\n  "layers": '
     yield from _json_members((
         f'"{label}": {{\n      "count": {len(elements)},\n'

@@ -316,7 +316,7 @@ def repeated_check_variant(text: str, rng, nfr_ids) -> tuple[str, bool] | None:
     last = {}
     for number, line in enumerate(lines, start=1):
         fields = dsl._parse_line(line.removesuffix("\r"), number)
-        if isinstance(fields, tuple) and fields[0] in nfr_ids:
+        if type(fields) is tuple and fields[0] in nfr_ids:
             last[fields[:2]] = number - 1
     if not last:
         return None

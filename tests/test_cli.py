@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -893,19 +892,18 @@ def _renamed(model, fresh):
     its entry in ``fresh``."""
     def ids(refs):
         return tuple(map(fresh.__getitem__, refs))
-    return replace(
-        model,
-        stakeholders=tuple(replace(s, id=fresh[s.id])
+    return model._replace(
+        stakeholders=tuple(s._replace(id=fresh[s.id])
                            for s in model.stakeholders),
-        goals=tuple(replace(g, id=fresh[g.id], owners=ids(g.owners))
+        goals=tuple(g._replace(id=fresh[g.id], owners=ids(g.owners))
                     for g in model.goals),
-        subgoals=tuple(replace(s, id=fresh[s.id], parents=ids(s.parents))
+        subgoals=tuple(s._replace(id=fresh[s.id], parents=ids(s.parents))
                        for s in model.subgoals),
-        nfrs=tuple(replace(n, id=fresh[n.id],
-                           attached_subgoals=ids(n.attached_subgoals),
-                           attached_goals=ids(n.attached_goals))
+        nfrs=tuple(n._replace(id=fresh[n.id],
+                              attached_subgoals=ids(n.attached_subgoals),
+                              attached_goals=ids(n.attached_goals))
                    for n in model.nfrs),
-        unresolved_checks=tuple(replace(c, nfr_id=fresh[c.nfr_id])
+        unresolved_checks=tuple(c._replace(nfr_id=fresh[c.nfr_id])
                                 for c in model.unresolved_checks))
 
 

@@ -642,7 +642,7 @@ def test_statement_regex_rejects_what_the_token_walker_rejects(line,
     # empty line after the last newline goes to the walker too.
     parse('system "T"\n' + line + "\r\n")
     assert walker_calls == [(2, line), (3, "")]
-    assert not isinstance(dsl._parse_line(line, 2), tuple)
+    assert type(dsl._parse_line(line, 2)) is not tuple
 
 
 def test_statement_regexes_agree_with_token_walker(walker_calls, monkeypatch):
@@ -658,7 +658,7 @@ def test_statement_regexes_agree_with_token_walker(walker_calls, monkeypatch):
         result = _located(parse(text))
         # The scanner reads exactly the lines the walker accepts.
         scanned = walker_calls[:1] != [(2, seen)]
-        assert scanned == isinstance(dsl._parse_line(seen, 2), tuple), \
+        assert scanned == (type(dsl._parse_line(seen, 2)) is tuple), \
             repr(line)
         accepted += scanned
         cases.append((text, result))

@@ -1,13 +1,17 @@
 """Core model types and structural lint rules."""
 
+import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nfr4.dsl import parse, serialize
+from nfr4 import analysis, dsl, model, report
+from nfr4.analysis import ThresholdMode
+from nfr4.dsl import ParseError, parse, serialize
 from nfr4.model import (
     ChecklistRecord,
+    Diagnostic,
     Goal,
     Model,
     Nfr,
@@ -15,8 +19,10 @@ from nfr4.model import (
     Stakeholder,
     SubGoal,
     UnresolvedCheck,
+    record,
     validate_structure,
 )
+from nfr4.report import build_bundle
 
 from support import random_model
 
@@ -344,6 +350,100 @@ def test_equality_ignores_source_provenance():
         (SubGoal("sg", "SG", ("g",), line=4),),
         (Nfr("n", "N", (), ("g",), line=5),),
     )
+
+
+# -------------------------------------------------------- record contract
+
+
+# The records whose last field, ``line``, is provenance.
+WITH_LINE = {Stakeholder, Goal, SubGoal, Nfr, UnresolvedCheck}
+
+
+def record_samples():
+    """One record of every record class, every field set."""
+    checklist = ChecklistRecord(("yes",) * 7 + ("no",))
+    bundle = build_bundle(tiny_model(), ThresholdMode.top_k(1))
+    return [
+        Stakeholder("s", "S", line=2), Goal("g", "G", ("s",), line=3),
+        SubGoal("sg", "SG", ("g",), line=4), checklist,
+        Nfr("n", "N", ("sg",), ("g",), checklist, line=5),
+        UnresolvedCheck("x", 2, "no", line=9), tiny_model(),
+        Diagnostic("R4", "warning", "m", "sg", 4),
+        ParseError("malformed-line", 2, 5, "m"), bundle.completeness,
+        bundle.whole_model_score, bundle.matrix,
+        bundle.criticality.threshold_mode, bundle.criticality, bundle,
+    ]
+
+
+RECORDS = pytest.mark.parametrize("rec", record_samples(),
+                                  ids=lambda rec: type(rec).__name__)
+
+
+def test_every_record_class_has_a_sample():
+    classes = {cls for module in (model, dsl, analysis, report)
+               for name, cls in vars(module).items()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and cls.__module__ == module.__name__
+               and not name.startswith("_")}
+    assert len(classes) == 15
+    assert {type(rec) for rec in record_samples()} == classes
+
+
+@RECORDS
+def test_records_compare_every_field_but_line(rec):
+    for field in rec._fields:
+        # Never equal to what the field held, and still a valid record.
+        other = ("no",) * 8 if field == "answers" else object()
+        changed = rec._replace(**{field: other})
+        if field == "line" and type(rec) in WITH_LINE:
+            assert changed == rec and not changed != rec
+            assert hash(changed) == hash(rec)
+        else:
+            assert changed != rec and not changed == rec, field
+            assert hash(changed) != hash(rec), field
+
+
+@RECORDS
+def test_records_equal_no_plain_tuple_or_other_class(rec):
+    twin = record(" ".join(rec._fields), line=type(rec) in WITH_LINE)
+    for other in (tuple(rec), twin._make(rec)):
+        assert tuple(other) == tuple(rec)
+        assert not rec == other and not other == rec
+        assert rec != other and other != rec
+
+
+@RECORDS
+def test_records_have_no_order(rec):
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(rec, rec)
+
+
+@RECORDS
+def test_records_are_immutable_and_have_no_dict(rec):
+    for name in (*rec._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert not hasattr(rec, "__dict__")
+    assert all("__slots__" in vars(cls) for cls in type(rec).__mro__[:-2])
+
+
+def test_records_iterate_and_repr_every_field():
+    goal = Goal("g", "G", ("s",), line=3)
+    assert (len(goal), tuple(goal)) == (4, ("g", "G", ("s",), 3))
+    assert repr(goal) == "Goal(id='g', name='G', owners=('s',), line=3)"
+    assert repr(ThresholdMode.top_k(2)) \
+        == "ThresholdMode(kind='top_k', parameter=2)"
+
+
+def test_checklist_checks_its_changed_copies():
+    empty = ChecklistRecord()
+    for bad in (("maybe",) * 8, ("yes",) * 7):
+        with pytest.raises(ValueError):
+            empty._replace(answers=bad)
+        with pytest.raises(ValueError):
+            ChecklistRecord._make([bad])
+    assert empty._replace(answers=("yes",) * 8).yes_count == 8
 
 
 # ----------------------------------------------------------- tuple fields

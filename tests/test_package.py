@@ -1,7 +1,8 @@
 """The package's import graph: ``import nfr4`` binds nothing, each
 submodule loads only the modules it needs, and uses every name it
-imports, and no module but ``nfr4.fixtures`` imports ``typing`` or
-``pathlib``."""
+imports, ``import nfr4.cli`` loads neither ``dataclasses`` nor
+``inspect``, no module imports ``dataclasses``, and no module but
+``nfr4.fixtures`` imports ``typing`` or ``pathlib``."""
 
 import ast
 import json
@@ -38,14 +39,20 @@ print(json.dumps({"steps": steps, "public": public, "foreign": foreign}))
 """
 
 
-def test_import_graph_loads_only_what_each_step_needs():
+def run_child(*args):
+    """Stdout of a fresh interpreter run with ``args``, which imports the
+    package under test; it must exit 0 with nothing on stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", STEPS], env=env,
+    run = subprocess.run([sys.executable, *args], env=env,
                          capture_output=True, text=True, timeout=30)
     assert (run.returncode, run.stderr) == (0, "")
-    found = json.loads(run.stdout)
+    return run.stdout
+
+
+def test_import_graph_loads_only_what_each_step_needs():
+    found = json.loads(run_child("-c", STEPS))
     steps = found["steps"]
     assert steps["nfr4"] == ["nfr4"]
     assert found["public"] == []
@@ -75,13 +82,22 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def test_no_module_but_fixtures_imports_typing_or_pathlib():
-    # Neither is needed at start-up; nfr4.fixtures hands out Paths and is
-    # not imported by the CLI.
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Without site, so that no start-up hook of the host loads them first.
+    loaded = run_child("-S", "-c", "import sys, nfr4.cli;"
+                       " print(*sorted({'dataclasses', 'inspect'}"
+                       " & set(sys.modules)))")
+    assert loaded == "\n"
+
+
+def test_no_module_imports_dataclasses_and_only_fixtures_typing_or_pathlib():
+    # None of them is needed at start-up; nfr4.fixtures hands out Paths
+    # and is not imported by the CLI.
     found = []
     for path in sorted(Path(PACKAGE_ROOT, "nfr4").rglob("*.py")):
-        if path.parent.name == "fixtures":
-            continue
+        banned = {"dataclasses", "inspect"}
+        if path.parent.name != "fixtures":
+            banned |= {"typing", "pathlib"}
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -91,5 +107,5 @@ def test_no_module_but_fixtures_imports_typing_or_pathlib():
                 continue
             found += [f"{path.name}:{node.lineno}: {module}"
                       for module in modules
-                      if module.partition(".")[0] in ("typing", "pathlib")]
+                      if module.partition(".")[0] in banned]
     assert found == []

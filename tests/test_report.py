@@ -3,7 +3,6 @@
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -484,13 +483,29 @@ def test_summary_rejects_unknown_format(library_model):
 
 def test_streamed_renderers_refuse_before_their_first_piece(library_model):
     bundle = build_bundle(library_model)
-    empty = replace(bundle.matrix, nfr_ids=(), nfr_names=(), rows=())
+    empty = bundle.matrix._replace(nfr_ids=(), nfr_names=(), rows=())
     for pieces in (iter_summary(bundle, "html"),
-                   iter_summary(replace(bundle, matrix=empty)),
-                   iter_summary(replace(bundle, matrix=empty), "markdown"),
+                   iter_summary(bundle._replace(matrix=empty)),
+                   iter_summary(bundle._replace(matrix=empty), "markdown"),
                    iter_matrix_table(empty, bundle.criticality)):
         with pytest.raises(ValueError):
             next(pieces)
+
+
+def test_renderers_refuse_critical_rows_the_matrix_lacks(library_model):
+    """A hand-built bundle whose criticality names a row its matrix does
+    not have is refused before the first piece, not mid-stream."""
+    bundle = build_bundle(library_model)
+    n = len(bundle.matrix.rows)
+    # Past the end, one of two, negative, and an NFR id.
+    for critical in ((n,), (0, n), (-1,), (bundle.matrix.nfr_ids[0],)):
+        criticality = bundle.criticality._replace(critical=critical)
+        stale = bundle._replace(criticality=criticality)
+        for pieces in (iter_json(stale), iter_summary(stale),
+                       iter_summary(stale, "markdown"),
+                       iter_matrix_table(stale.matrix, criticality)):
+            with pytest.raises(ValueError, match="row the matrix does not"):
+                next(pieces)
 
 
 def threshold_modes(n_nfrs):
@@ -659,8 +674,8 @@ def with_matrix(bundle, matrix, **changes):
         criticality = rank_criticality(matrix,
                                        bundle.criticality.threshold_mode)
     except EmptyMatrixError:
-        criticality = replace(bundle.criticality, critical=())
-    return replace(bundle, matrix=matrix, criticality=criticality, **changes)
+        criticality = bundle.criticality._replace(critical=())
+    return bundle._replace(matrix=matrix, criticality=criticality, **changes)
 
 
 def test_json_degenerate_matrices_match_the_reference(library_model):
@@ -669,9 +684,9 @@ def test_json_degenerate_matrices_match_the_reference(library_model):
     bundle = build_bundle(library_model)
     matrix = bundle.matrix
     for degenerate in (
-        replace(matrix, nfr_ids=(), nfr_names=(), rows=()),
-        replace(matrix, goal_ids=(), goal_names=(),
-                rows=((),) * len(matrix.rows)),
+        matrix._replace(nfr_ids=(), nfr_names=(), rows=()),
+        matrix._replace(goal_ids=(), goal_names=(),
+                        rows=((),) * len(matrix.rows)),
     ):
         hand_built = with_matrix(bundle, degenerate)
         assert export_json(hand_built) == reference_json(hand_built)
@@ -699,10 +714,10 @@ def marks_pieces(bundle):
 ], ids=["5 goals", "1 goal", "0 goals", "2000 goals"])
 def test_json_marks_rows_match_the_reference(library_model, width, rows):
     bundle = build_bundle(library_model)
-    matrix = replace(bundle.matrix,
-                     goal_ids=tuple(f"g{j}" for j in range(width)),
-                     goal_names=tuple(f"G{j}" for j in range(width)),
-                     rows=rows)
+    matrix = bundle.matrix._replace(
+        goal_ids=tuple(f"g{j}" for j in range(width)),
+        goal_names=tuple(f"G{j}" for j in range(width)),
+        rows=rows)
     hand_built = with_matrix(bundle, matrix)
     assert export_json(hand_built) == reference_json(hand_built)
     # One piece per NFR row, then the closing bracket.
@@ -720,15 +735,15 @@ def test_json_repeated_ids_keep_dict_semantics(library_model):
     the reference's dicts do."""
     bundle = build_bundle(library_model)
     first = library_model.nfrs[0]
-    unanswered = replace(first, checklist=ChecklistRecord())
+    unanswered = first._replace(checklist=ChecklistRecord())
     matrix = bundle.matrix
     repeated = with_matrix(
         bundle,
-        replace(matrix, nfr_ids=(*matrix.nfr_ids, first.id),
-                nfr_names=(*matrix.nfr_names, "Repeated"),
-                rows=(*matrix.rows, ())),
-        model=replace(library_model,
-                      nfrs=(*library_model.nfrs, unanswered)))
+        matrix._replace(nfr_ids=(*matrix.nfr_ids, first.id),
+                        nfr_names=(*matrix.nfr_names, "Repeated"),
+                        rows=(*matrix.rows, ())),
+        model=library_model._replace(
+            nfrs=(*library_model.nfrs, unanswered)))
     text = export_json(repeated)
     assert text == reference_json(repeated)
     data = json.loads(text)
