@@ -15,9 +15,10 @@ from fractions import Fraction
 
 from .model import (
     CHECKLIST_SIZE,
+    ChecklistRecord,
     Diagnostic,
     Model,
-    Nfr,
+    NO,
     UNANSWERED,
     YES,
     record,
@@ -27,8 +28,6 @@ from .model import (
 # str() prints, and int() reads, an int of at most this many digits by
 # default.  Fixed, so that every process accepts the same thresholds.
 MAX_THRESHOLD_DIGITS = 4300
-# The metric of a checklist with k yes answers, built once.
-_EIGHTHS = tuple(Fraction(k, CHECKLIST_SIZE) for k in range(CHECKLIST_SIZE + 1))
 
 
 def _digit_bounds() -> Iterator[tuple[int, str]]:
@@ -98,31 +97,18 @@ def compute_mcr(model: Model) -> CompletenessResult:
     return CompletenessResult(n_c, n_nv, Fraction(n_c, n_c + n_nv))
 
 
-class ChecklistScore(record("yes_count answered_count metric")):
-    """Validation score for one NFR, or for the whole model."""
+def score_checklist(model: Model) -> ChecklistRecord:
+    """The whole model's eight-question checklist, one verdict a question.
 
-    __slots__ = ()
-
-
-def score_nfr(nfr: Nfr) -> ChecklistScore:
-    """Score one NFR's checklist: its yes-count over eight."""
-    record = nfr.checklist
-    return ChecklistScore(record.yes_count, record.answered_count,
-                          _EIGHTHS[record.yes_count])
-
-
-def score_checklist(model: Model) -> ChecklistScore:
-    """Score the whole model's eight-question checklist.
-
-    A question counts as yes only when every NFR answers it yes, and as
-    answered only when every NFR answered it; with zero NFRs both hold
-    vacuously.  ``score_nfr`` scores one NFR.
+    A question is yes when every NFR answers it yes, unanswered when some
+    NFR leaves it unanswered, and no otherwise; with zero NFRs every
+    question is yes.  An NFR's own checklist is ``nfr.checklist``.
     """
     answers = [n.checklist.answers for n in model.nfrs]
-    questions = range(CHECKLIST_SIZE)
-    yes = sum(all(a[q] == YES for a in answers) for q in questions)
-    answered = sum(all(a[q] != UNANSWERED for a in answers) for q in questions)
-    return ChecklistScore(yes, answered, _EIGHTHS[yes])
+    return ChecklistRecord(tuple(
+        YES if all(a[q] == YES for a in answers)
+        else UNANSWERED if any(a[q] == UNANSWERED for a in answers) else NO
+        for q in range(CHECKLIST_SIZE)))
 
 
 class TraceabilityMatrix(record("nfr_ids nfr_names goal_ids goal_names rows")):

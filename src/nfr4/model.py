@@ -18,6 +18,7 @@ the constructors rejecting them.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 YES = "yes"
 NO = "no"
@@ -25,6 +26,8 @@ UNANSWERED = "unanswered"
 ANSWERS = (YES, NO, UNANSWERED)
 
 CHECKLIST_SIZE = 8
+# The metric of a checklist with k yes answers, built once.
+_EIGHTHS = tuple(Fraction(k, CHECKLIST_SIZE) for k in range(CHECKLIST_SIZE + 1))
 
 # Severity is looked up here and nowhere else.
 SEVERITY_BY_RULE = {
@@ -81,7 +84,8 @@ class SubGoal(record("id name parents line", (), None, line=True)):
 
 
 class ChecklistRecord(record("answers")):
-    """Answers to the eight validation questions for one NFR.
+    """Answers to the eight validation questions for one NFR, or the
+    whole model's verdicts from ``analysis.score_checklist``.
 
     ``answers`` always has exactly eight slots, each ``yes``, ``no`` or
     ``unanswered``; ``_make`` and ``_replace`` check it too.
@@ -108,6 +112,10 @@ class ChecklistRecord(record("answers")):
     @property
     def answered_count(self) -> int:
         return CHECKLIST_SIZE - self.answers.count(UNANSWERED)
+
+    @property
+    def metric(self) -> Fraction:
+        return _EIGHTHS[self.answers.count(YES)]
 
 
 class Nfr(record("id name attached_subgoals attached_goals checklist line",

@@ -16,7 +16,6 @@ from itertools import accumulate, chain
 from json.encoder import encode_basestring as _encode
 
 from .analysis import (
-    ChecklistScore,
     CompletenessResult,
     CriticalityReport,
     ThresholdMode,
@@ -25,9 +24,9 @@ from .analysis import (
     compute_mcr,
     rank_criticality,
     score_checklist,
-    score_nfr,
 )
-from .model import CHECKLIST_SIZE, Diagnostic, Model, record, validate_structure
+from .model import (CHECKLIST_SIZE, ChecklistRecord, Diagnostic, Model,
+                    record, validate_structure)
 
 
 def format_ratio(value: Fraction) -> str:
@@ -43,9 +42,9 @@ def mcr_line(completeness: CompletenessResult) -> str:
     return f"MCR = {n_c} / [{n_c}+{n_nv}] = {format_ratio(completeness.mcr)}"
 
 
-def validation_line(label: str, score: ChecklistScore) -> str:
-    return (f"{label}: {score.yes_count}/{CHECKLIST_SIZE}"
-            f" = {format_ratio(score.metric)}")
+def validation_line(label: str, checklist: ChecklistRecord) -> str:
+    return (f"{label}: {checklist.yes_count}/{CHECKLIST_SIZE}"
+            f" = {format_ratio(checklist.metric)}")
 
 
 def threshold_line(criticality: CriticalityReport) -> str:
@@ -189,7 +188,7 @@ def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
         ("Completeness", bulleted([mcr_line(bundle.completeness)])),
         ("Validation", bulleted(chain(
             [validation_line("validation", bundle.whole_model_score)],
-            (validation_line(nfr.id, score_nfr(nfr)) for nfr in model.nfrs)))),
+            (validation_line(nfr.id, nfr.checklist) for nfr in model.nfrs)))),
         # next() runs the table's checks now, before the first line.
         ("Traceability", chain(fence, _trimmed(next(table), table), fence)),
         ("Critical NFRs", bulleted(chain([threshold_line(criticality)], [
@@ -223,10 +222,10 @@ def _json_array(strings: Iterable[str], indent: str) -> str:
     return "".join(_json_members(map(_encode, strings), indent))
 
 
-def _json_score(score: ChecklistScore, indent: str) -> str:
-    return (f'{{\n{indent}  "yes": {score.yes_count},\n'
-            f'{indent}  "answered": {score.answered_count},\n'
-            f'{indent}  "metric": "{format_ratio(score.metric)}"\n{indent}}}')
+def _json_score(checklist: ChecklistRecord, indent: str) -> str:
+    return (f'{{\n{indent}  "yes": {checklist.yes_count},\n'
+            f'{indent}  "answered": {checklist.answered_count},\n'
+            f'{indent}  "metric": "{format_ratio(checklist.metric)}"\n{indent}}}')
 
 
 def _json_diagnostic(d: Diagnostic) -> str:
@@ -281,7 +280,7 @@ def iter_json(bundle: ReportBundle) -> Iterator[str]:
     # As a dict would: the first position of a repeated id, its last NFR.
     per_nfr = {nfr.id: nfr for nfr in model.nfrs}
     yield from _json_members(
-        (f"{_encode(nfr_id)}: {_json_score(score_nfr(nfr), '      ')}"
+        (f"{_encode(nfr_id)}: {_json_score(nfr.checklist, '      ')}"
          for nfr_id, nfr in per_nfr.items()), "    ", "{}")
     yield (f'\n  }},\n  "matrix": {{\n'
            f'    "nfr_ids": {_json_array(matrix.nfr_ids, "    ")},\n'

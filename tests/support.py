@@ -5,6 +5,8 @@ the matrix oracle recomputes marks by direct scanning, the ranking
 oracle picks the critical rows by the definition, and the CLI runner
 drives the real entry point in-process.  None of them reuse the
 library's own derivation logic, so they can serve as oracles for it.
+The model writer lays a random model out as text without ``serialize``,
+so the model it started from is the oracle for ``parse``.
 
 The grammar fuzzer derives well-formed statements from the grammar token
 by token and then mutates them token by token, in the style of Zeller et
@@ -27,9 +29,12 @@ from nfr4.model import (
     ChecklistRecord,
     Goal,
     Model,
+    NO,
     Nfr,
     Stakeholder,
     SubGoal,
+    UNANSWERED,
+    YES,
 )
 
 _ID_CHARS = string.ascii_lowercase + string.digits + "_"
@@ -110,6 +115,117 @@ def random_model(rng, for_serialization: bool = False) -> Model:
               for sid, parents in sub_rows),
         tuple(nfrs),
     )
+
+
+def _merged(rng, *sequences):
+    """The items of ``sequences`` in one random order that keeps the order
+    within each sequence."""
+    pending = [list(reversed(sequence)) for sequence in sequences if sequence]
+    merged = []
+    while pending:
+        source = rng.choice(pending)
+        merged.append(source.pop())
+        if not source:
+            pending.remove(source)
+    return merged
+
+
+def _repeated(rng, ids: tuple[str, ...]) -> tuple[str, ...]:
+    """``ids``, some of them written a second time at a random place."""
+    ids = list(ids)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if ids:
+            ids.insert(rng.randrange(len(ids) + 1), rng.choice(ids))
+    return tuple(ids)
+
+
+_GAPS = (" ", "\t", "  ", " \t ")  # where a blank is needed
+_TOUCH = ("",) + _GAPS  # where the grammar lets tokens touch
+_LINE_COMMENTS = ("#", "# c", '# "x", y', "#check a 1 yes", " \t# nfr a")
+
+
+def written_model(rng) -> tuple[Model, list[tuple[tuple, str]]]:
+    """A random model with repeated references, and its text written in a
+    random legal layout without ``serialize``.
+
+    The layers are interleaved, each in its declaration order; an NFR's
+    goal and sub-goal targets are interleaved on its ``on`` list.  Every
+    answer is set by a ``check`` line anywhere after ``system``, before
+    or after its NFR, and may follow earlier lines for the same question
+    that it overrides.  Blanks and tabs fall wherever the grammar allows
+    them, comment and blank lines anywhere, each line ends with LF or
+    CRLF, and half of the texts start with a BOM.  The model is the
+    oracle: ``parse`` of the text must equal it.
+
+    The text is the join of the returned lines, each with its end.  Each
+    line comes with its statement's key: ``("nfr", id)`` for an NFR,
+    ``("check", id, question)`` for a check, and ``()`` otherwise.
+    """
+    base = random_model(rng, for_serialization=True)
+    model = base._replace(
+        goals=tuple(g._replace(owners=_repeated(rng, g.owners))
+                    for g in base.goals),
+        subgoals=tuple(s._replace(parents=_repeated(rng, s.parents))
+                       for s in base.subgoals),
+        nfrs=tuple(n._replace(attached_goals=_repeated(rng, n.attached_goals),
+                              attached_subgoals=_repeated(
+                                  rng, n.attached_subgoals))
+                   for n in base.nfrs))
+
+    def gap() -> str:
+        return rng.choice(_GAPS)
+
+    def touch() -> str:
+        return rng.choice(_TOUCH)
+
+    def named(keyword, element, connective="", refs=()) -> str:
+        line = f'{touch()}{keyword}{gap()}{element.id}{touch()}"{element.name}"'
+        if connective:
+            line += f"{touch()}{connective}{gap()}{refs[0]}"
+            line += "".join(f"{touch()},{touch()}{ref}" for ref in refs[1:])
+        return line
+
+    elements = _merged(
+        rng,
+        [((), named("stakeholder", s)) for s in model.stakeholders],
+        [((), named("goal", g, "for", g.owners)) for g in model.goals],
+        [((), named("subgoal", s, "of", s.parents)) for s in model.subgoals],
+        [(("nfr", n.id), named("nfr", n, "on", _merged(
+            rng, n.attached_goals, n.attached_subgoals))) for n in model.nfrs])
+    # Each statement's place: system at 0, the elements at 1, 2, ...; the
+    # checks for one question at sorted random places after system, the
+    # last one with the model's answer.
+    placed = [(0.0, (), f'{touch()}system{touch()}"{model.system_name}"')]
+    placed += [(float(k), *element)
+               for k, element in enumerate(elements, start=1)]
+    for nfr in model.nfrs:
+        for question, answer in enumerate(nfr.checklist.answers, start=1):
+            if answer == UNANSWERED:
+                continue
+            count = rng.choice((1, 1, 1, 2, 3))
+            places = sorted(rng.uniform(0.5, len(elements) + 1)
+                            for _ in range(count))
+            answers = [rng.choice((YES, NO)) for _ in places[1:]] + [answer]
+            placed += [(place, ("check", nfr.id, question),
+                        f"{touch()}check{gap()}{nfr.id}{gap()}"
+                        f"{rng.choice(('', '', '0', '00'))}{question}{gap()}"
+                        f"{given}")
+                       for place, given in zip(places, answers)]
+    placed.sort(key=lambda item: item[0])
+
+    lines = []
+    for _, key, line in placed:
+        while rng.random() < 0.2:
+            lines.append(((), rng.choice(("", touch(),
+                                          *_LINE_COMMENTS))))
+        if rng.random() < 0.3:
+            line += touch() + rng.choice(_LINE_COMMENTS)
+        lines.append((key, line + touch()))
+    lines = [(key, line + rng.choice(("\n", "\r\n"))) for key, line in lines]
+    if rng.random() < 0.5:
+        key, line = lines[0]
+        lines[0] = key, "\ufeff" + line
+    return model, lines
 
 
 def wide_model_text(rng, nfrs: int, goals: int) -> str:
@@ -326,6 +442,34 @@ def repeated_check_variant(text: str, rng, nfr_ids) -> tuple[str, bool] | None:
     target = rng.choice((end, rng.randint(source + 1, end)))
     lines.insert(target, lines[source])
     return "\n".join(lines), target == end
+
+
+def moved_check_variant(rng, lines) -> tuple[str, dict[int, int]] | None:
+    """The text of ``written_model``'s ``lines`` with one ``check`` line
+    moved later, after its NFR's declaration and past no other answer to
+    the same question, and each old line number that changed with its
+    new one; None if no check line can move so."""
+    keys = [key for key, _ in lines]
+    moves = []
+    for source, key in enumerate(keys):
+        if key[:1] != ("check",):
+            continue
+        declared = keys.index(("nfr", key[1]))
+        for target in range(source + 1, len(keys)):
+            if keys[target] == key:
+                break
+            if target >= declared:
+                moves.append((source, target))
+    if not moves:
+        return None
+    # The line at ``source`` goes just after the line at ``target``.
+    source, target = rng.choice(moves)
+    texts = [line for _, line in lines]
+    texts.insert(target, texts.pop(source))
+    renumbered = {number: number - 1
+                  for number in range(source + 2, target + 2)}
+    renumbered[source + 1] = target + 1
+    return "".join(texts), renumbered
 
 
 def run_cli(argv, stdin_bytes: bytes | None = None) -> tuple[int, str, str]:

@@ -21,7 +21,6 @@ from nfr4.analysis import (
     compute_mcr,
     rank_criticality,
     score_checklist,
-    score_nfr,
 )
 from nfr4.model import (
     ANSWERS,
@@ -129,23 +128,24 @@ def test_mcr_never_drops_when_a_record_completes(rows, data):
 
 
 def test_per_nfr_score(library_model):
-    score = score_nfr(next(n for n in library_model.nfrs
-                           if n.id == "usability"))
-    assert (score.yes_count, score.answered_count) == (8, 8)
-    assert score.metric == Fraction(1)
+    checklist = next(n for n in library_model.nfrs
+                     if n.id == "usability").checklist
+    assert (checklist.yes_count, checklist.answered_count) == (8, 8)
+    assert checklist.metric == Fraction(1)
 
 
 def test_per_nfr_score_counts_directly():
-    score = score_nfr(nfr_with(("yes",) * 4 + ("no",) * 2
-                               + ("unanswered",) * 2, "n0"))
-    assert score.yes_count == 4
-    assert score.answered_count == 6
-    assert score.metric == Fraction(1, 2)
+    checklist = ChecklistRecord(("yes",) * 4 + ("no",) * 2
+                                + ("unanswered",) * 2)
+    assert checklist.yes_count == 4
+    assert checklist.answered_count == 6
+    assert checklist.metric == Fraction(1, 2)
 
 
 def test_whole_model_score_is_conjunction():
     rows = [ALL_YES, ("yes",) + ("unanswered",) * 7]
     score = score_checklist(model_of(rows))
+    assert score == ChecklistRecord(("yes",) + ("unanswered",) * 7)
     assert score.yes_count == 1
     assert score.answered_count == 1
     assert score.metric == Fraction(1, 8)
@@ -154,23 +154,39 @@ def test_whole_model_score_is_conjunction():
 def test_whole_model_score_on_fixtures(library_model, atm_model):
     for model in (library_model, atm_model):
         score = score_checklist(model)
+        assert score == ChecklistRecord(ALL_YES)
         assert (score.yes_count, score.answered_count) == (8, 8)
         assert score.metric == Fraction(1)
 
 
 def test_whole_model_score_vacuous_without_nfrs():
     score = score_checklist(Model("S"))
+    assert score == ChecklistRecord(ALL_YES)
     assert (score.yes_count, score.answered_count) == (8, 8)
 
 
-@given(st.lists(answer_row, min_size=1, max_size=6))
+@given(st.lists(answer_row, min_size=0, max_size=6))
 def test_whole_model_yes_is_per_question_minimum(rows):
+    # The verdict is the minimum under unanswered < no < yes.
     whole = score_checklist(model_of(rows))
-    expected = sum(
-        1 for question in range(CHECKLIST_SIZE)
-        if all(row[question] == "yes" for row in rows))
-    assert whole.yes_count == expected
-    assert whole.yes_count <= min(row.count("yes") for row in rows)
+    questions = range(CHECKLIST_SIZE)
+    for question in questions:
+        column = [row[question] for row in rows]
+        if all(answer == "yes" for answer in column):
+            expected = "yes"
+        elif "unanswered" in column:
+            expected = "unanswered"
+        else:
+            expected = "no"
+        assert whole.answers[question] == expected
+    # The counts by their definition, one all() a question.
+    assert whole.yes_count == sum(
+        all(row[q] == "yes" for row in rows) for q in questions)
+    assert whole.answered_count == sum(
+        all(row[q] != "unanswered" for row in rows) for q in questions)
+    assert whole.metric == Fraction(whole.yes_count, CHECKLIST_SIZE)
+    assert whole.yes_count <= min((row.count("yes") for row in rows),
+                                  default=CHECKLIST_SIZE)
 
 
 # ----------------------------------------------------------------- matrix

@@ -40,6 +40,7 @@ from support import (
     comment_variant,
     crlf_variant,
     fuzz_line,
+    moved_check_variant,
     mutate,
     oracle_ranking,
     random_model,
@@ -47,6 +48,7 @@ from support import (
     rows_to_marks,
     run_cli,
     wide_model_text,
+    written_model,
 )
 
 LIBRARY = str(LIBRARY_PATH)
@@ -887,6 +889,45 @@ def test_a_repeated_check_and_a_round_trip_change_no_parse():
     assert commands_run == {"repeat", "round trip"}
 
 
+def _renumbered(output, renumbered):
+    """Stdout or stderr of a run on stdin with each line number, in a
+    diagnostic or a parse error, that is a key of ``renumbered`` replaced
+    by its value."""
+    def new(match):
+        number = int(match[2])
+        return f"{match[1]}{renumbered.get(number, number)}"
+    return re.sub(r'(^<stdin>:|\(line |"line": )(\d+)', new, output,
+                  flags=re.M)
+
+
+def test_a_check_moved_later_changes_only_line_numbers():
+    # A check line moved later, after its NFR's declaration and past no
+    # other answer to the same question, sets the same answer.  Only the
+    # lines it passes, and its own, get new numbers, and every command's
+    # output may change in those numbers alone.  It runs on 200 written
+    # files, which all parse.
+    rng = random.Random(1111)
+    files = renumbered_runs = 0
+    while files < 200:
+        model, lines = written_model(rng)
+        moved = moved_check_variant(rng, lines)
+        if moved is None:
+            continue
+        variant, renumbered = moved
+        text = "".join(line for _, line in lines)
+        assert parse(variant) == model, (text, variant)
+        for command in PIPELINE_COMMANDS:
+            code, out, err = run_cli([*command, "-"], text.encode())
+            expected = (code, _renumbered(out, renumbered),
+                        _renumbered(err, renumbered))
+            assert run_cli([*command, "-"], variant.encode()) == expected, \
+                (command, text, variant)
+            renumbered_runs += expected != (code, out, err)
+        files += 1
+    # The line numbers of the diagnostics did move in some runs.
+    assert renumbered_runs > 20
+
+
 def _renamed(model, fresh):
     """``model`` with every id, and every reference to one, replaced by
     its entry in ``fresh``."""
@@ -996,7 +1037,7 @@ def launch(launcher, argv, env=None, **kwargs):
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_installed_script_metrics(launcher):
-    proc = launch(launcher, ["metrics", LIBRARY], text=True)
+    proc = launch(launcher, ["metrics", LIBRARY], encoding="utf-8")
     assert proc.returncode == 0
     assert proc.stdout == "MCR = 6 / [6+0] = 1.0000\nvalidation: 8/8 = 1.0000\n"
     assert proc.stderr == ""

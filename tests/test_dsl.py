@@ -19,7 +19,7 @@ from nfr4.model import (
     validate_structure,
 )
 
-from support import fuzz_line, random_model
+from support import fuzz_line, random_model, written_model
 
 CANONICAL = """\
 system "Tiny"
@@ -509,6 +509,25 @@ def test_seeded_round_trip_loop():
     for _ in range(250):
         model = random_model(random_state, for_serialization=True)
         assert parse(serialize(model)) == model
+
+
+def test_written_models_parse_back_and_round_trip():
+    # The writer lays a model out as no serialize output is: layers
+    # interleaved, checks anywhere after system and overridden, targets
+    # interleaved and repeated, and blanks, comments, CRLF and a BOM.  The
+    # model it wrote is the oracle for parse; the round trip over it is
+    # not circular, since the text was not written by serialize.
+    rng = random.Random(2828)
+    for _ in range(500):
+        model, lines = written_model(rng)
+        text = "".join(line for _, line in lines)
+        parsed = parse(text)
+        assert parsed == model, text
+        declared = {key: number
+                    for number, (key, _) in enumerate(lines, start=1)}
+        assert [nfr.line for nfr in parsed.nfrs] \
+            == [declared["nfr", nfr.id] for nfr in model.nfrs]
+        assert parse(serialize(parsed)) == parsed, text
 
 
 name_text = st.text(

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -330,8 +331,10 @@ def test_checklist_defaults_unanswered():
     record = ChecklistRecord()
     assert record.yes_count == 0
     assert record.answered_count == 0
+    assert record.metric == 0
     mixed = ChecklistRecord(("yes",) + ("unanswered",) * 6 + ("no",))
     assert (mixed.yes_count, mixed.answered_count) == (1, 2)
+    assert mixed.metric == Fraction(1, 8)
 
 
 def test_checklist_rejects_bad_shapes():
@@ -370,8 +373,8 @@ def record_samples():
         UnresolvedCheck("x", 2, "no", line=9), tiny_model(),
         Diagnostic("R4", "warning", "m", "sg", 4),
         ParseError("malformed-line", 2, 5, "m"), bundle.completeness,
-        bundle.whole_model_score, bundle.matrix,
-        bundle.criticality.threshold_mode, bundle.criticality, bundle,
+        bundle.matrix, bundle.criticality.threshold_mode, bundle.criticality,
+        bundle,
     ]
 
 
@@ -385,7 +388,7 @@ def test_every_record_class_has_a_sample():
                if isinstance(cls, type) and issubclass(cls, tuple)
                and cls.__module__ == module.__name__
                and not name.startswith("_")}
-    assert len(classes) == 15
+    assert len(classes) == 14
     assert {type(rec) for rec in record_samples()} == classes
 
 

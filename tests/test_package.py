@@ -46,7 +46,7 @@ def run_child(*args):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, *args], env=env,
-                         capture_output=True, text=True, timeout=30)
+                         capture_output=True, encoding="utf-8", timeout=30)
     assert (run.returncode, run.stderr) == (0, "")
     return run.stdout
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from nfr4.analysis import (
-    ChecklistScore,
     CompletenessResult,
     EmptyMatrixError,
     EmptyModelError,
@@ -106,7 +105,7 @@ def reference_table(matrix, criticality, legend=True):
 
 def counted_score(nfr):
     """An NFR's ``"per_nfr"`` entry, its answers counted here: the oracle
-    that ``score_nfr`` and the renderers are checked against."""
+    that each NFR's checklist and the renderers are checked against."""
     answers = nfr.checklist.answers
     yes = answers.count("yes")
     return {"yes": yes,
@@ -233,11 +232,11 @@ def test_mcr_line_uses_bracket_notation():
 
 
 def test_validation_line_labels():
-    whole = ChecklistScore(8, 8, Fraction(1))
+    whole = ChecklistRecord(("yes",) * 8)
     assert validation_line("validation", whole) == "validation: 8/8 = 1.0000"
-    single = ChecklistScore(4, 6, Fraction(1, 2))
+    single = ChecklistRecord(("yes",) * 4 + ("no",) * 2 + ("unanswered",) * 2)
     assert validation_line("usability", single) == "usability: 4/8 = 0.5000"
-    blank = ChecklistScore(0, 0, Fraction(0))
+    blank = ChecklistRecord()
     assert validation_line("validation", blank) == "validation: 0/8 = 0.0000"
 
 
@@ -289,7 +288,7 @@ def test_bundle_agrees_with_given_diagnostics_and_per_id_scores():
         bundle = build_bundle(model)
         assert bundle \
             == build_bundle(model, diagnostics=validate_structure(model))
-        # The reference counts the answers, independent of score_nfr.
+        # The reference counts the answers, independent of ChecklistRecord.
         expected = [(nfr.id, counted_score(nfr)) for nfr in model.nfrs]
         summary = render_summary(bundle).splitlines()
         start = summary.index("Validation") + 2
