@@ -173,18 +173,18 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
     failure_code = (EXIT_CHECK_FAILED if args.command == "check"
                     else EXIT_INVALID_MODEL)
     where = "<stdin>" if args.input == "-" else args.input
+    # parse raises no OSError, and no local keeps the bytes it decodes.
     try:
         if args.input != "-":
             with open(args.input, "rb") as file:
-                raw = file.read()
+                model = parse(file.read())
         elif sys.stdin is None:  # fd 0 was closed at launch
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
-            raw = sys.stdin.buffer.read()
+            model = parse(sys.stdin.buffer.read())
     except OSError as exc:
         print(f"error: cannot read {where}: {exc}", file=sys.stderr)
         sys.exit(failure_code)
-    model = parse(raw)
     if isinstance(model, list):
         sys.stderr.write("".join(
             f"{where}:{e.line}:{e.column}: {e.kind}: {e.message}\n"

@@ -217,7 +217,10 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
 
     Never raises on malformed input: all problems in one pass come back
     as the error list.  Bytes are decoded as UTF-8 with replacement; one
-    leading byte order mark is dropped.
+    leading byte order mark is dropped.  An attachment to a declared goal
+    or sub-goal is that element's own ``id`` string.  NFRs with equal
+    answers share one ``ChecklistRecord`` (``a.checklist is b.checklist``
+    can hold); records are immutable, so that changes no result.
     """
     if isinstance(source, (bytes, bytearray)):
         source = bytes(source).decode("utf-8", errors="replace")
@@ -297,20 +300,25 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
         errors.sort(key=lambda e: (e.line, e.column))
         return errors
 
-    # Goals first: a dangling id is filed as a goal (REF diagnostic later).
-    subgoal_ids = {s.id for s in subgoals}.difference(g.id for g in goals)
+    # Goals first.  A row goes once filed, and its split targets with it.
+    goal_ids = {g.id: g.id for g in goals}
+    subgoal_ids = {s.id: s.id for s in subgoals if s.id not in goal_ids}
+    checklists: dict[tuple[str, ...], ChecklistRecord] = {}
     nfrs: list[Nfr] = []
-    for ident, name, refs, lineno, slots in nfr_rows:
+    for index, (ident, name, refs, lineno, slots) in enumerate(nfr_rows):
+        nfr_rows[index] = None
         attached_goals: list[str] = []
         attached_subgoals: list[str] = []
         for ref in refs:
             if ref in subgoal_ids:
-                attached_subgoals.append(ref)
+                attached_subgoals.append(subgoal_ids[ref])
             else:
-                attached_goals.append(ref)
+                attached_goals.append(goal_ids.get(ref, ref))
+        slots = tuple(slots)
+        if (checklist := checklists.get(slots)) is None:
+            checklist = checklists[slots] = ChecklistRecord(slots)
         nfrs.append(Nfr(ident, name, tuple(attached_subgoals),
-                        tuple(attached_goals), ChecklistRecord(tuple(slots)),
-                        line=lineno))
+                        tuple(attached_goals), checklist, line=lineno))
     unresolved = sorted((check for group in early.values() for check in group),
                         key=lambda check: check.line)
 

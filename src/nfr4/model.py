@@ -12,7 +12,9 @@ ignore.  ``record._replace(...)`` makes a changed copy; a
 ``answers``) take tuples; lists are not converted.  Construction is
 permissive (dangling references, empty edges and duplicate ids are
 allowed) so that ``validate_structure`` can report problems instead of
-the constructors rejecting them.
+the constructors rejecting them.  ``parse`` shares what is equal: an
+attachment to a declared element is that element's ``id`` string, and
+NFRs with equal answers share one ``ChecklistRecord``.
 """
 
 from __future__ import annotations

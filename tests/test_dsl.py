@@ -143,6 +143,138 @@ def test_unresolvable_nfr_target_is_not_a_parse_error():
     assert any(d.rule_id == "REF" for d in validate_structure(model))
 
 
+# ------------------------------------------------- shared ids and records
+
+# An id that is both a goal and a sub-goal, declared sub-goal first and
+# after the NFR that names it.
+CLASH = ('system "T"\nstakeholder s "S"\n'
+         'nfr n "N" on dup, sg\n'
+         'subgoal dup "SG" of goal_b\ngoal goal_b "G" for s\n'
+         'subgoal sg "SG2" of dup\ngoal dup "G2" for s\n'
+         'check n 2 yes\n')
+# Dangling targets, repeated, beside declared ones; an unresolved check.
+DANGLING = ('system "T"\nstakeholder s "S"\n'
+            'goal goal_a "G" for s\nsubgoal sub_a "SG" of goal_a\n'
+            'nfr n "N" on ghost_x, sub_a, goal_a, ghost_x\n'
+            'nfr m "M" on goal_a\n'
+            'check m 1 no\ncheck typo 3 yes\n')
+# A goal id and an NFR id each declared twice.
+REPEATED = ('system "T"\nstakeholder s "S"\n'
+            'goal goal_a "G" for s\ngoal goal_a "Again" for s\n'
+            'subgoal sub_a "SG" of goal_a\n'
+            'nfr n "N" on goal_a, sub_a, goal_a\n'
+            'nfr n "N2" on sub_a\n'
+            'check n 8 yes\n')
+# Every REF and DUP shape at once.
+REF_AND_DUP = ('system "D"\nstakeholder s "S"\nstakeholder s "S2"\n'
+               'goal s "G" for s, x\ngoal h "H" for s\n'
+               'subgoal h "SG" of g, q\nsubgoal k "K" of s\n'
+               'nfr h "N" on nope\nnfr k "K" on k\ncheck zz 1 yes\n')
+
+
+def _answers(**given):
+    """Eight answers, ``q<n>=...`` setting question n."""
+    return ChecklistRecord(tuple(given.get(f"q{n}", "unanswered")
+                                 for n in range(1, 9)))
+
+
+def assert_ids_and_checklists_shared(model):
+    """Every attachment that names a declared goal or sub-goal is that
+    element's own id string, and NFRs with equal answers share one
+    ``ChecklistRecord``."""
+    goal_ids = {id(goal.id) for goal in model.goals}
+    subgoal_ids = {id(subgoal.id) for subgoal in model.subgoals}
+    declared = {goal.id for goal in model.goals} \
+        | {subgoal.id for subgoal in model.subgoals}
+    checklists = {}
+    for nfr in model.nfrs:
+        for target in nfr.attached_goals:
+            assert target not in declared or id(target) in goal_ids, target
+        for target in nfr.attached_subgoals:
+            assert id(target) in subgoal_ids, target
+        shared = checklists.setdefault(nfr.checklist.answers, nfr.checklist)
+        assert nfr.checklist is shared, nfr.id
+
+
+def test_attachments_and_equal_checklists_are_shared(library_model,
+                                                     atm_model):
+    # The written texts hold forward references, repeated targets, and
+    # early and overridden answers.
+    for model in (library_model, atm_model):
+        assert_ids_and_checklists_shared(model)
+    rng = random.Random(2929)
+    for _ in range(500):
+        model, lines = written_model(rng)
+        parsed = parse("".join(line for _, line in lines))
+        assert parsed == model
+        assert_ids_and_checklists_shared(parsed)
+
+
+def test_an_id_in_both_layers_is_filed_as_a_goal():
+    model = parsed(CLASH)
+    assert_ids_and_checklists_shared(model)
+    (nfr,) = model.nfrs
+    assert nfr.attached_goals == ("dup",)
+    assert nfr.attached_goals[0] is model.goals[1].id
+    assert nfr.attached_subgoals == ("sg",)
+    assert [d.rule_id for d in validate_structure(model)] == ["R4", "DUP"]
+
+
+def test_a_dangling_target_keeps_its_own_text():
+    model = parsed(DANGLING)
+    assert_ids_and_checklists_shared(model)
+    assert model.nfrs[0].attached_goals == ("ghost_x", "goal_a", "ghost_x")
+    assert [(d.rule_id, d.subject_id, d.message)
+            for d in validate_structure(model)] == [
+        ("REF", "n", "NFR 'n' references unknown goal 'ghost_x'"),
+        ("REF", "n", "NFR 'n' references unknown goal 'ghost_x'"),
+        ("REF", "typo", "checklist answer references unknown NFR 'typo'")]
+
+
+def test_a_repeated_goal_id_resolves_to_one_declaration():
+    model = parsed(REPEATED)
+    assert_ids_and_checklists_shared(model)
+    first = model.nfrs[0]
+    assert first.attached_goals == ("goal_a", "goal_a")
+    assert first.attached_goals[0] is first.attached_goals[1]
+    assert [(d.rule_id, d.subject_id) for d in validate_structure(model)] \
+        == [("DUP", "goal_a"), ("DUP", "n")]
+
+
+@pytest.mark.parametrize("text, expected", [
+    (CLASH, Model(
+        "T", (Stakeholder("s", "S", 2),),
+        (Goal("goal_b", "G", ("s",), 5), Goal("dup", "G2", ("s",), 7)),
+        (SubGoal("dup", "SG", ("goal_b",), 4),
+         SubGoal("sg", "SG2", ("dup",), 6)),
+        (Nfr("n", "N", ("sg",), ("dup",), _answers(q2="yes"), 3),))),
+    (DANGLING, Model(
+        "T", (Stakeholder("s", "S", 2),), (Goal("goal_a", "G", ("s",), 3),),
+        (SubGoal("sub_a", "SG", ("goal_a",), 4),),
+        (Nfr("n", "N", ("sub_a",), ("ghost_x", "goal_a", "ghost_x"),
+             _answers(), 5),
+         Nfr("m", "M", (), ("goal_a",), _answers(q1="no"), 6)),
+        (UnresolvedCheck("typo", 3, "yes", 8),))),
+    (REPEATED, Model(
+        "T", (Stakeholder("s", "S", 2),),
+        (Goal("goal_a", "G", ("s",), 3), Goal("goal_a", "Again", ("s",), 4)),
+        (SubGoal("sub_a", "SG", ("goal_a",), 5),),
+        (Nfr("n", "N", ("sub_a",), ("goal_a", "goal_a"), _answers(q8="yes"),
+             6),
+         Nfr("n", "N2", ("sub_a",), (), _answers(), 7)))),
+    (REF_AND_DUP, Model(
+        "D", (Stakeholder("s", "S", 2), Stakeholder("s", "S2", 3)),
+        (Goal("s", "G", ("s", "x"), 4), Goal("h", "H", ("s",), 5)),
+        (SubGoal("h", "SG", ("g", "q"), 6), SubGoal("k", "K", ("s",), 7)),
+        (Nfr("h", "N", (), ("nope",), _answers(), 8),
+         Nfr("k", "K", ("k",), (), _answers(), 9)),
+        (UnresolvedCheck("zz", 1, "yes", 10),))),
+], ids=["clash", "dangling", "repeated", "ref-and-dup"])
+def test_resolution_edge_cases_repr_golden(text, expected):
+    # The repr shows every field, lines included, in declaration order.
+    assert repr(parse(text)) == repr(expected)
+
+
 # ----------------------------------------------------------------- checks
 
 
