@@ -223,7 +223,7 @@ def parse(source: str | bytes) -> Model | list[ParseError]:
     can hold); records are immutable, so that changes no result.
     """
     if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8", errors="replace")
+        source = source.decode("utf-8", errors="replace")
     source = source.removeprefix("\ufeff")
 
     errors: list[ParseError] = []

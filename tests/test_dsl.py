@@ -97,6 +97,14 @@ def test_parse_accepts_bytes():
     assert parsed(CANONICAL.encode()) == parsed(CANONICAL)
 
 
+def test_parse_reads_a_bytearray_as_its_bytes():
+    # A BOM, and a name with a byte that is not UTF-8.
+    raw = b"\xef\xbb\xbf" + CANONICAL.encode().replace(b'"N"', b'"N\xff"')
+    model = parsed(bytearray(raw))
+    assert model == parse(bytes(raw))
+    assert model.nfrs[0].name == "N\ufffd"
+
+
 def test_parse_replaces_undecodable_bytes():
     result = parse(b'\xff\xfe garbage\n')
     assert isinstance(result, list)

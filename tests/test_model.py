@@ -25,7 +25,7 @@ from nfr4.model import (
 )
 from nfr4.report import build_bundle
 
-from support import random_model
+from support import random_model, wide_model_text, written_model
 
 
 def tiny_model(**overrides):
@@ -83,6 +83,32 @@ def test_goal_without_owners_is_r2():
         subgoals=(SubGoal("sg", "SG", ("g", "h")),),
     )
     assert findings(model) == [("R2", "error", "h")]
+
+
+def test_gated_models_declare_a_goal(library_model, atm_model):
+    """A model with no error-severity finding declares a goal: R1 asks
+    for a stakeholder and R2 for a goal it owns.  So analysis of a gated
+    model without NFRs stops at compute_mcr's EmptyModelError, never at
+    rank_criticality's empty matrix, and the CLI catches only the first.
+    Each written model is also parsed with about a third of its lines
+    left out, so that some candidates fail the gate or lose every goal."""
+    rng = random.Random(30)
+    candidates = [library_model, atm_model, parse('system "S"\n'),
+                  parse('system "S"\nstakeholder s "S"\n')]
+    for _ in range(500):
+        model, lines = written_model(rng)
+        candidates += [model, parse("".join(
+            line for _, line in lines if rng.random() < 0.7))]
+    for _ in range(20):
+        goals = rng.randint(3, 8)
+        candidates.append(parse(wide_model_text(
+            rng, rng.randint(goals, 30), goals)))
+    models = [m for m in candidates if isinstance(m, Model)]
+    gated = [m for m in models if all(
+        d.severity != "error" for d in validate_structure(m))]
+    assert len(gated) >= 100
+    assert sum(not m.goals for m in models) >= 10
+    assert all(m.goals for m in gated)
 
 
 def test_goal_without_subgoals_is_r3():
