@@ -64,10 +64,6 @@ class EmptyModelError(ValueError):
     """Raised when an analysis needs NFRs and the model has none."""
 
 
-class EmptyMatrixError(ValueError):
-    """Raised when a traceability matrix has no rows or no columns."""
-
-
 class InvalidModelError(ValueError):
     """Raised when analysis is asked to run on a structurally broken model."""
 
@@ -235,7 +231,7 @@ def rank_criticality(matrix: TraceabilityMatrix,
     absolute(t): every NFR scoring at least t.
     """
     if not matrix.nfr_ids or not matrix.goal_ids:
-        raise EmptyMatrixError("traceability matrix has no rows or no columns")
+        raise ValueError("traceability matrix has no rows or no columns")
 
     scores = tuple(map(len, matrix.rows))
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)

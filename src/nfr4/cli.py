@@ -188,9 +188,10 @@ def _output(args: argparse.Namespace) -> Iterable[str]:
             for e in model))
         sys.exit(failure_code)
     diagnostics = validate_structure(model)
-    sys.stderr.write("".join(
-        f"{where}{f':{d.source_line}' if d.source_line else ''}:"
-        f" {d.severity} {d.rule_id}: {d.message}\n" for d in diagnostics))
+    if diagnostics:  # a full device refuses even an empty write
+        sys.stderr.write("".join(
+            f"{where}{f':{d.source_line}' if d.source_line else ''}:"
+            f" {d.severity} {d.rule_id}: {d.message}\n" for d in diagnostics))
     if any(d.severity == "error" for d in diagnostics) \
             or diagnostics and args.command == "check" and args.strict:
         sys.exit(failure_code)

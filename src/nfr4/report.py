@@ -79,7 +79,10 @@ def build_bundle(model: Model, mode: ThresholdMode = ThresholdMode.mean(), *,
 
 def _critical_rows(matrix: TraceabilityMatrix,
                    criticality: CriticalityReport) -> set[int]:
-    """The critical rows; refused if one is not a row of ``matrix``."""
+    """The critical rows, after the check every streamed renderer runs
+    first: no empty matrix, and no critical row that ``matrix`` lacks."""
+    if not matrix.nfr_ids or not matrix.goal_ids:
+        raise ValueError("cannot render an empty matrix")
     rows = range(len(matrix.rows))
     if not all(i in rows for i in criticality.critical):
         raise ValueError("criticality names a row the matrix does not have")
@@ -91,16 +94,13 @@ def iter_matrix_table(matrix: TraceabilityMatrix,
                       legend: bool = True) -> Iterator[str]:
     """``render_matrix_table`` one line at a time, each with its newline.
 
-    An empty matrix, and a criticality that names a row the matrix does
-    not have, are refused before the first line.
+    A matrix or criticality that ``_critical_rows`` refuses is refused
+    before the first line.
     """
-    if not matrix.nfr_ids or not matrix.goal_ids:
-        raise ValueError("cannot render an empty matrix")
-
+    critical_set = _critical_rows(matrix, criticality)
     goal_headers = [f"G{j + 1}" for j in range(len(matrix.goal_ids))]
     name_width = max(len("NFR"), max(len(name) for name in matrix.nfr_names))
     score_width = max(len("score"), len(str(max(map(len, matrix.rows)))))
-    critical_set = _critical_rows(matrix, criticality)
 
     def row(cells: list[str]) -> str:
         return "  ".join(cells).rstrip() + "\n"
@@ -158,8 +158,8 @@ def _trimmed(first: str, rest: Iterator[str]) -> Iterator[str]:
 def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
     """``render_summary`` one line at a time, each with its newline.
 
-    An unknown format, and a matrix that ``iter_matrix_table`` refuses,
-    are refused before the first line.
+    An unknown format, and a matrix or criticality that
+    ``_critical_rows`` refuses, are refused before the first line.
     """
     model = bundle.model
     if format == "text":
@@ -256,7 +256,7 @@ def _json_marks_rows(matrix: TraceabilityMatrix) -> Iterator[str]:
 def iter_json(bundle: ReportBundle) -> Iterator[str]:
     """``export_json`` in pieces: one per layer, diagnostic, per-NFR score,
     ``marks`` row and criticality score, with the fixed parts between.
-    A criticality that names a row the matrix does not have is refused
+    A matrix or criticality that ``_critical_rows`` refuses is refused
     before the first piece."""
     model, matrix, report = bundle.model, bundle.matrix, bundle.criticality
     _critical_rows(matrix, report)

@@ -12,7 +12,6 @@ from hypothesis import example, given, strategies as st
 
 from nfr4 import analysis
 from nfr4.analysis import (
-    EmptyMatrixError,
     EmptyModelError,
     InvalidModelError,
     ThresholdMode,
@@ -620,8 +619,12 @@ def test_empty_matrix_is_refused():
     no_rows = TraceabilityMatrix((), (), ("g",), ("G",), ())
     no_columns = TraceabilityMatrix(("n",), ("N",), (), (), ((),))
     for matrix in (no_rows, no_columns):
-        with pytest.raises(EmptyMatrixError):
-            rank_criticality(matrix)
+        for mode in (ThresholdMode.mean(), ThresholdMode.top_k(1),
+                     ThresholdMode.absolute(0)):
+            with pytest.raises(ValueError) as refused:
+                rank_criticality(matrix, mode)
+            assert str(refused.value) \
+                == "traceability matrix has no rows or no columns"
 
 
 def test_row_permutation_permutes_scores_keeps_critical_set():

@@ -1077,6 +1077,35 @@ def test_closed_stderr_exit_codes(launcher, model_file):
                 (argv, buffering)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_full_stderr_is_not_written_when_there_is_nothing_to_say(launcher):
+    # /dev/full refuses every write, even an empty one; a model with no
+    # diagnostic writes nothing to stderr, so it exits as it would anyway.
+    for argv in (["check", LIBRARY], ["metrics", LIBRARY],
+                 ["matrix", LIBRARY], ["critical", LIBRARY],
+                 ["report", LIBRARY]):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        for buffering in BUFFERING_MODES:
+            with open("/dev/full", "wb") as full:
+                proc = launch(launcher, argv, buffering, stderr=full)
+            assert (proc.returncode, proc.stdout) == (0, out.encode()), \
+                (argv, buffering)
+
+
+def test_output_does_not_depend_on_the_hash_seed(model_file):
+    # Set and dict order of str keys follows the hash seed; no output may.
+    wide = model_file(wide_model_text(random.Random(5), 300, 200))
+    for argv in (["report"], ["report", "--format", "json"]):
+        for path in (LIBRARY, wide):
+            runs = [launch([sys.executable, "-m", "nfr4.cli"], [*argv, path],
+                           {"PYTHONHASHSEED": seed}) for seed in ("0", "1")]
+            assert [proc.returncode for proc in runs] == [0, 0], (argv, path)
+            assert runs[0].stdout == runs[1].stdout, (argv, path)
+
+
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_closed_stdout_exits_141_quietly(launcher):
     # Buffered stdout fails at the flush, unbuffered stdout at the write;

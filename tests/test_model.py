@@ -88,8 +88,9 @@ def test_goal_without_owners_is_r2():
 def test_gated_models_declare_a_goal(library_model, atm_model):
     """A model with no error-severity finding declares a goal: R1 asks
     for a stakeholder and R2 for a goal it owns.  So analysis of a gated
-    model without NFRs stops at compute_mcr's EmptyModelError, never at
-    rank_criticality's empty matrix, and the CLI catches only the first.
+    model without NFRs stops at compute_mcr's EmptyModelError, which the
+    CLI catches, and never builds the matrix with no rows or no columns
+    that rank_criticality and the renderers refuse with a ValueError.
     Each written model is also parsed with about a third of its lines
     left out, so that some candidates fail the gate or lose every goal."""
     rng = random.Random(30)

@@ -9,7 +9,6 @@ import pytest
 
 from nfr4.analysis import (
     CompletenessResult,
-    EmptyMatrixError,
     EmptyModelError,
     InvalidModelError,
     ThresholdMode,
@@ -65,12 +64,9 @@ def table_marks(table, n_rows):
 
 def reference_ranking(matrix, mode):
     """Each row's score counted from the dense marks, and the threshold
-    and critical rows the ranking oracle picks from those scores.  A
-    matrix the analysis refuses to rank has no critical rows."""
+    and critical rows the ranking oracle picks from those scores."""
     marks = rows_to_marks(matrix.rows, len(matrix.goal_ids))
     scores = [sum(row) for row in marks]
-    if not scores or not matrix.goal_ids:
-        return marks, scores, None, []
     return marks, scores, *oracle_ranking(scores, mode)
 
 
@@ -153,8 +149,7 @@ def reference_json(bundle):
         "criticality": {
             "scores": dict(zip(matrix.nfr_ids, scores)),
             "threshold_mode": str(report.threshold_mode),
-            "threshold_value": format_ratio(
-                report.threshold_value if threshold is None else threshold),
+            "threshold_value": format_ratio(threshold),
             "critical": [matrix.nfr_ids[i] for i in critical],
         },
     }
@@ -419,13 +414,6 @@ def test_table_cells_follow_every_header_width():
                                          legend)) == expected
 
 
-def test_table_refuses_empty_matrix(library_model):
-    matrix = build_traceability_matrix(library_model)
-    empty = type(matrix)((), (), matrix.goal_ids, matrix.goal_names, ())
-    with pytest.raises(ValueError):
-        render_matrix_table(empty, rank_criticality(matrix))
-
-
 # ---------------------------------------------------------------- summary
 
 
@@ -481,14 +469,37 @@ def test_summary_rejects_unknown_format(library_model):
 
 
 def test_streamed_renderers_refuse_before_their_first_piece(library_model):
+    with pytest.raises(ValueError, match="unknown summary format"):
+        next(iter_summary(build_bundle(library_model), "html"))
+
+
+EMPTY_RENDERERS = {
+    "table": lambda bundle: iter_matrix_table(bundle.matrix,
+                                              bundle.criticality),
+    "text": iter_summary,
+    "markdown": lambda bundle: iter_summary(bundle, "markdown"),
+    "json": iter_json,
+}
+
+
+@pytest.mark.parametrize("render", list(EMPTY_RENDERERS.values()),
+                         ids=list(EMPTY_RENDERERS))
+@pytest.mark.parametrize("empty", ["no rows", "no columns"])
+def test_streamed_renderers_refuse_an_empty_matrix(library_model, render,
+                                                   empty):
+    """A matrix with no NFR rows or no goal columns, which the analysis
+    never builds, is refused by every streamed renderer before its first
+    piece, through the one check they share."""
     bundle = build_bundle(library_model)
-    empty = bundle.matrix._replace(nfr_ids=(), nfr_names=(), rows=())
-    for pieces in (iter_summary(bundle, "html"),
-                   iter_summary(bundle._replace(matrix=empty)),
-                   iter_summary(bundle._replace(matrix=empty), "markdown"),
-                   iter_matrix_table(empty, bundle.criticality)):
-        with pytest.raises(ValueError):
-            next(pieces)
+    if empty == "no rows":
+        matrix = bundle.matrix._replace(nfr_ids=(), nfr_names=(), rows=())
+    else:
+        matrix = bundle.matrix._replace(goal_ids=(), goal_names=(),
+                                        rows=((),) * len(bundle.matrix.rows))
+    hand_built = bundle._replace(
+        matrix=matrix, criticality=bundle.criticality._replace(critical=()))
+    with pytest.raises(ValueError, match="^cannot render an empty matrix$"):
+        next(render(hand_built))
 
 
 def test_renderers_refuse_critical_rows_the_matrix_lacks(library_model):
@@ -668,27 +679,9 @@ def test_json_splice_survives_hostile_text(flat):
 
 def with_matrix(bundle, matrix, **changes):
     """``bundle`` over a hand-built matrix, ranked as the analysis ranks
-    it; a matrix it refuses to rank has no critical rows."""
-    try:
-        criticality = rank_criticality(matrix,
-                                       bundle.criticality.threshold_mode)
-    except EmptyMatrixError:
-        criticality = bundle.criticality._replace(critical=())
+    it."""
+    criticality = rank_criticality(matrix, bundle.criticality.threshold_mode)
     return bundle._replace(matrix=matrix, criticality=criticality, **changes)
-
-
-def test_json_degenerate_matrices_match_the_reference(library_model):
-    """Bundles the analysis never builds (no NFR rows, or rows over no
-    goals) still export as the reference lays them out."""
-    bundle = build_bundle(library_model)
-    matrix = bundle.matrix
-    for degenerate in (
-        matrix._replace(nfr_ids=(), nfr_names=(), rows=()),
-        matrix._replace(goal_ids=(), goal_names=(),
-                        rows=((),) * len(matrix.rows)),
-    ):
-        hand_built = with_matrix(bundle, degenerate)
-        assert export_json(hand_built) == reference_json(hand_built)
 
 
 def marks_pieces(bundle):
@@ -707,10 +700,9 @@ def marks_pieces(bundle):
     # and no goal, one row each.
     (5, ((0,), (4,), (1, 2), (0, 1, 2, 3, 4), (), (0, 4))),
     (1, ((0,), (), (0,), (), (), (0,))),
-    (0, ((),) * 6),
     (2000, ((0,), (1999,), (7, 8, 9), tuple(range(2000)), (),
             tuple(range(0, 2000, 3)))),
-], ids=["5 goals", "1 goal", "0 goals", "2000 goals"])
+], ids=["5 goals", "1 goal", "2000 goals"])
 def test_json_marks_rows_match_the_reference(library_model, width, rows):
     bundle = build_bundle(library_model)
     matrix = bundle.matrix._replace(
