@@ -100,7 +100,8 @@ def score_checklist(model: Model) -> ChecklistRecord:
     NFR leaves it unanswered, and no otherwise; with zero NFRs every
     question is yes.  An NFR's own checklist is ``nfr.checklist``.
     """
-    answers = [n.checklist.answers for n in model.nfrs]
+    # all() and any() need each distinct answer pattern only once.
+    answers = {n.checklist.answers for n in model.nfrs}
     return ChecklistRecord(tuple(
         YES if all(a[q] == YES for a in answers)
         else UNANSWERED if any(a[q] == UNANSWERED for a in answers) else NO

@@ -8,10 +8,12 @@ lines ``_output`` returns once the gate and the analysis have run.
 ``matrix`` and ``report`` render those lines as they are written, so a
 reader that leaves early has received part of it.
 Exit codes: 0 success (warnings pass unless --strict), 1 check failed,
-2 model invalid for analysis, 3 no NFRs to analyse, 64 bad usage, 141
-stdout closed before all the output was written (128 + SIGPIPE, as for
-``nfr4 report big.nfr4 | head``) or stderr closed before a diagnostic
-was written.  A usage error exits 64 whether or not stderr is open.
+2 model invalid for analysis, 3 no NFRs to analyse, 64 bad usage, 74
+a failed write to stdout or stderr other than a closed pipe
+(``EX_IOERR``, as for ``nfr4 report big.nfr4 >/dev/full``), 141 stdout
+closed before all the output was written (128 + SIGPIPE, as for ``nfr4
+report big.nfr4 | head``) or stderr closed before a diagnostic was
+written.  A usage error exits 64 whether or not stderr can be written.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID_MODEL = 2
 EXIT_PRECONDITION = 3
 EXIT_USAGE = 64
+EXIT_IO_ERROR = 74
 EXIT_BROKEN_PIPE = 141
 
 
@@ -81,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
         try:
             print(f"{self.format_usage()}{self.prog}: error: {message}",
                   file=sys.stderr, flush=True)
-        except BrokenPipeError:
+        except OSError:
             _discard(sys.stderr)
         sys.exit(EXIT_USAGE)
 
@@ -241,16 +244,29 @@ def main(argv: list[str] | None = None) -> None:
         sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     code = EXIT_OK
     try:
-        sys.stdout.writelines(_output(build_parser().parse_args(argv)))
+        try:
+            sys.stdout.writelines(_output(build_parser().parse_args(argv)))
+        # The gate leaves a goal: test_gated_models_declare_a_goal.
+        except EmptyModelError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_PRECONDITION
+        # Flushed here, so that a failed write is caught below.
         sys.stdout.flush()
-    # The gate leaves a goal: test_gated_models_declare_a_goal.
-    except EmptyModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_PRECONDITION
+        sys.stderr.flush()
     except BrokenPipeError:
         # The reader of stdout or of stderr is gone.
         _discard(sys.stdout, sys.stderr)
         code = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # Any other failed write: only a failed stdout leaves a stderr
+        # that can say so.
+        try:
+            print(f"error: cannot write <stdout>: {exc}", file=sys.stderr,
+                  flush=True)
+        except OSError:
+            pass
+        _discard(sys.stdout, sys.stderr)
+        code = EXIT_IO_ERROR
     sys.exit(code)
 
 

@@ -175,6 +175,9 @@ def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
 
     matrix, criticality = bundle.matrix, bundle.criticality
     table = iter_matrix_table(matrix, criticality)
+    # Each distinct answer pattern's ": k/8 = m" is formatted once.
+    distinct = {nfr.checklist.answers: nfr.checklist for nfr in model.nfrs}
+    suffix = {a: validation_line("", c) for a, c in distinct.items()}
     sections = (
         ("Model", bulleted([
             f"system: {model.system_name}",
@@ -188,7 +191,7 @@ def iter_summary(bundle: ReportBundle, format: str = "text") -> Iterator[str]:
         ("Completeness", bulleted([mcr_line(bundle.completeness)])),
         ("Validation", bulleted(chain(
             [validation_line("validation", bundle.whole_model_score)],
-            (validation_line(nfr.id, nfr.checklist) for nfr in model.nfrs)))),
+            (f"{n.id}{suffix[n.checklist.answers]}" for n in model.nfrs)))),
         # next() runs the table's checks now, before the first line.
         ("Traceability", chain(fence, _trimmed(next(table), table), fence)),
         ("Critical NFRs", bulleted(chain([threshold_line(criticality)], [
@@ -277,11 +280,14 @@ def iter_json(bundle: ReportBundle) -> Iterator[str]:
            f'  "checklist": {{\n'
            f'    "whole_model": {_json_score(bundle.whole_model_score, "    ")},\n'
            f'    "per_nfr": ')
-    # As a dict would: the first position of a repeated id, its last NFR.
-    per_nfr = {nfr.id: nfr for nfr in model.nfrs}
+    # As a dict would: a repeated id's first position, its last checklist.
+    per_nfr = {nfr.id: nfr.checklist for nfr in model.nfrs}
+    # Each distinct answer pattern's score is formatted once.
+    distinct = {checklist.answers: checklist for checklist in per_nfr.values()}
+    scores = {a: _json_score(c, "      ") for a, c in distinct.items()}
     yield from _json_members(
-        (f"{_encode(nfr_id)}: {_json_score(nfr.checklist, '      ')}"
-         for nfr_id, nfr in per_nfr.items()), "    ", "{}")
+        (f"{_encode(nfr_id)}: {scores[checklist.answers]}"
+         for nfr_id, checklist in per_nfr.items()), "    ", "{}")
     yield (f'\n  }},\n  "matrix": {{\n'
            f'    "nfr_ids": {_json_array(matrix.nfr_ids, "    ")},\n'
            f'    "goal_ids": {_json_array(matrix.goal_ids, "    ")},\n'

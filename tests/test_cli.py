@@ -1,5 +1,6 @@
 """Command behavior, exit codes and stream discipline of the CLI."""
 
+import errno
 import io
 import json
 import os
@@ -1077,8 +1078,11 @@ def test_closed_stderr_exit_codes(launcher, model_file):
                 (argv, buffering)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"),
-                    reason="no /dev/full on this system")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+
+@needs_dev_full
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_full_stderr_is_not_written_when_there_is_nothing_to_say(launcher):
     # /dev/full refuses every write, even an empty one; a model with no
@@ -1092,6 +1096,62 @@ def test_full_stderr_is_not_written_when_there_is_nothing_to_say(launcher):
             with open("/dev/full", "wb") as full:
                 proc = launch(launcher, argv, buffering, stderr=full)
             assert (proc.returncode, proc.stdout) == (0, out.encode()), \
+                (argv, buffering)
+
+
+# /dev/full fails every write with ENOSPC: a write error that is not a
+# reader gone.  Buffered streams fail at the flush, unbuffered ones at
+# the write; both must end the same way, with no traceback.
+ENOSPC_LINE = ("error: cannot write <stdout>:"
+               f" [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+EVERY_COMMAND = (["check"], ["check", "--strict"], ["metrics"], ["matrix"],
+                 ["critical"], ["report"], ["report", "--format", "json"])
+
+
+@needs_dev_full
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_full_stdout_exits_74_with_one_error_line(launcher, model_file):
+    # What would have gone to stderr still goes there, then one line.
+    warnings, errors = model_file(WARNING_TEXT), model_file(ERROR_TEXT, "e")
+    cases = [(["--help"], 74), (["report", "--help"], 74),
+             (["definitely-not-a-command"], 64),
+             (["report", model_file(NO_NFR_TEXT, "z")], 3)]
+    cases += [([*argv, LIBRARY], 0 if argv[0] == "check" else 74)
+              for argv in EVERY_COMMAND]
+    cases += [([*argv, warnings], 74 if argv[0] != "check" else
+               1 if "--strict" in argv else 0) for argv in EVERY_COMMAND]
+    cases += [([*argv, errors], 1 if argv[0] == "check" else 2)
+              for argv in EVERY_COMMAND]
+    for argv, code in cases:
+        _, _, err = run_cli(argv)
+        if code == 74:
+            err += ENOSPC_LINE
+        for buffering in BUFFERING_MODES:
+            with open("/dev/full", "wb") as full:
+                proc = launch(launcher, argv, buffering, stdout=full)
+            assert (proc.returncode, proc.stderr.decode()) == (code, err), \
+                (argv, buffering)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_full_stderr_exits_74_before_any_output(launcher, model_file):
+    # A diagnostic or error line that cannot be written ends the run
+    # before stdout is written; a usage error keeps 64.
+    warnings, errors = model_file(WARNING_TEXT), model_file(ERROR_TEXT, "e")
+    no_nfrs, missing = model_file(NO_NFR_TEXT, "z"), model_file("", "gone")
+    os.remove(missing)
+    cases = [(["--help"], 0), (["report", "--help"], 0),
+             (["definitely-not-a-command"], 64),
+             (["metrics", no_nfrs], 74), (["report", missing], 74)]
+    cases += [([*argv, path], 74)
+              for argv in EVERY_COMMAND for path in (warnings, errors)]
+    for argv, code in cases:
+        out = run_cli(argv)[1] if code == 0 else ""
+        for buffering in BUFFERING_MODES:
+            with open("/dev/full", "wb") as full:
+                proc = launch(launcher, argv, buffering, stderr=full)
+            assert (proc.returncode, proc.stdout.decode()) == (code, out), \
                 (argv, buffering)
 
 

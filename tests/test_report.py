@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import nfr4.report
 from nfr4.analysis import (
     CompletenessResult,
     EmptyModelError,
@@ -743,6 +744,73 @@ def test_json_repeated_ids_keep_dict_semantics(library_model):
     # The first row scores 7; the repeated id's last row scores 0.
     assert list(data["criticality"]["scores"])[0] == first.id
     assert data["criticality"]["scores"][first.id] == 0
+
+
+def validation_section(summary):
+    """The lines of a summary's Validation section, bullets included."""
+    lines = summary.splitlines()
+    start = lines.index(next(line for line in lines
+                             if line.endswith("Validation")))
+    end = lines.index(next(line for line in lines
+                           if line.endswith("Traceability")))
+    return [line for line in lines[start + 1:end] if line]
+
+
+def test_equal_answers_in_separate_records_render_per_nfr():
+    """Each distinct answer pattern is formatted once, keyed by its
+    answers, not by its record.  Here every NFR holds its own record,
+    equal answers in different objects, and an id repeated last with
+    another pattern: the JSON must match the dict reference, and each
+    Validation line a per-NFR ``validation_line``."""
+    patterns = [("yes",) * 8, ("yes",) * 7 + ("no",),
+                ("no", "unanswered") * 4, ("unanswered",) * 8]
+    goals = tuple(Goal(f"g{j}", f"G{j}", ("s",)) for j in range(3))
+    nfrs = tuple(Nfr(f"n{i}", f"N{i}", (), (f"g{i % 3}",),
+                     ChecklistRecord(tuple(list(patterns[i % 3]))))
+                 for i in range(12))
+    repeated = nfrs[4]._replace(checklist=ChecklistRecord(patterns[3]))
+    for model_nfrs in (nfrs, (*nfrs, repeated)):
+        model = Model("S", (Stakeholder("s", "S"),), goals, (), model_nfrs)
+        assert len({id(nfr.checklist) for nfr in model.nfrs}) \
+            == len(model.nfrs)
+        bundle = build_bundle(model, diagnostics=[])
+        text = export_json(bundle)
+        assert text == reference_json(bundle)
+        per_nfr = json.loads(text)["checklist"]["per_nfr"]
+        assert list(per_nfr) == [f"n{i}" for i in range(12)]
+        last_n4 = [nfr for nfr in model.nfrs if nfr.id == "n4"][-1]
+        assert per_nfr["n4"] == counted_score(last_n4)
+        for format, bullet in (("text", "  "), ("markdown", "- ")):
+            assert validation_section(render_summary(bundle, format)) == [
+                f"{bullet}{line}" for line in (
+                    validation_line("validation", bundle.whole_model_score),
+                    *(validation_line(nfr.id, nfr.checklist)
+                      for nfr in model.nfrs))]
+
+
+def test_each_answer_pattern_is_formatted_once(monkeypatch):
+    """2,000 NFRs over 10 answer patterns: each renderer formats the MCR,
+    the whole model's score, the threshold and each pattern once."""
+    patterns = [("yes",) * k + ("no",) * (8 - k) for k in range(9)]
+    patterns.append(("unanswered",) * 8)
+    model = Model("S", (Stakeholder("s", "S"),), (Goal("g", "G", ("s",)),),
+                  (SubGoal("sg", "SG", ("g",)),),
+                  tuple(Nfr(f"n{i}", f"N{i}", ("sg",), (),
+                            ChecklistRecord(tuple(list(patterns[i % 10]))))
+                        for i in range(2000)))
+    bundle = build_bundle(model)
+    expected = export_json(bundle), render_summary(bundle)
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_ratio(value)
+
+    monkeypatch.setattr(nfr4.report, "format_ratio", counted)
+    for render, text in zip((iter_json, iter_summary), expected):
+        calls.clear()
+        assert "".join(render(bundle)) == text
+        assert 0 < len(calls) <= len(patterns) + 3, render.__name__
 
 
 def test_json_atm_critical_set(atm_model):
