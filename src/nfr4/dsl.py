@@ -25,16 +25,17 @@ The whole text is read with one scan of a compiled regex, one match per
 line.  A well-formed statement matches its first branch; every other line
 falls to its catch-all branch and goes to the token walker, which finds
 its error (or that it is blank).  The walker is the only source of parse
-errors and the reference the scanner is tested against.  In the walker
-``check`` has its own path; every other keyword reads an id (none for
-``system``), a quoted name and, for ``goal``/``subgoal``/``nfr``, its
-connective and ids.
+errors and the reference the scanner is tested against.  A quote that
+opens no name outranks every other error on its line.  Otherwise the
+walker reads tokens one at a time and stops at the first problem, so a
+long line costs what its tokens up to that problem cost.  ``check`` has
+its own path; every other keyword reads an id (none for ``system``), a
+quoted name and, for ``goal``/``subgoal``/``nfr``, its connective and ids.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
 from .model import (
     CHECKLIST_SIZE,
@@ -58,11 +59,12 @@ _KEYWORDS = ("system", "stakeholder", "goal", "subgoal", "nfr", "check")
 _CONNECTIVE = {"goal": "for", "subgoal": "of", "nfr": "on"}
 _SLOT = {str(n): n - 1 for n in range(1, CHECKLIST_SIZE + 1)}
 
-# One token: a comma, a quoted name, a bare word, the ``#`` that starts a
-# comment, or a quote that opens no name.  Only spaces and tabs fall
-# between matches.
-_TOKEN_RE = re.compile(
-    r'(?P<comma>,)|"(?P<string>[^"]*)"|(?P<word>[^ \t,"#]+)|(?P<comment>#)|"')
+# A line's code: from its start up to the ``#`` that starts a comment, or
+# up to a quote that opens no name.  Unrolled, so a long line is one pass.
+_CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"[^"#]*)*')
+# One token of the code: a comma, a quoted name or a bare word.  Only
+# spaces and tabs fall between matches.
+_TOKEN_RE = re.compile(r'(?P<comma>,)|"(?P<string>[^"]*)"|(?P<word>[^ \t,"]+)')
 
 # The whole-file scanner.  Every match is one line, as ``str.split("\n")``
 # cuts them, and ends at its newline or the end of the text, so the line
@@ -92,124 +94,106 @@ class SerializeError(ValueError):
     """Raised when a model cannot be expressed in the DSL."""
 
 
-_Token = namedtuple("_Token", (
-    "kind",  # word | string | comma
-    "text",
-    "column",
-    "end"))  # column just past the token, closing quote included
-
-
 def _parse_line(text: str, lineno: int) -> tuple | ParseError | None:
     """Parse one line; None for blank/comment-only lines.
 
     A statement comes back as the fields of a scanner match, refs as a
     tuple: check id, index, answer, keyword, id, name, refs; None if unused.
-    ``check`` has its own path; the other keywords share the one the
-    module docstring describes.  At most one error is reported per line
-    (the first problem found), so fixing a line removes exactly its error.
+    A quote that opens no name is reported first; otherwise tokens are
+    read lazily and the walk returns at the first problem, so at most one
+    error is reported per line and fixing a line removes exactly its error.
     """
     def error(kind: str, message: str, column: int) -> ParseError:
         return ParseError(kind, lineno, column, message)
 
-    # Split the line into tokens; ``#`` outside a string ends it.
-    tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "comment":
-            break
-        if kind is None:
-            return error("unterminated-string", "unterminated display name",
-                         match.start() + 1)
-        tokens.append(_Token(kind, match[kind], match.start() + 1,
-                             match.end() + 1))
-    if not tokens:
-        return None
+    code = _CODE_RE.match(text)[0]
+    if text.startswith('"', len(code)):
+        return error("unterminated-string", "unterminated display name",
+                     len(code) + 1)
 
     def missing(message: str) -> ParseError:
-        return error("malformed-line", message, tokens[-1].end)
+        # Just past the last token.
+        return error("malformed-line", message, len(code.rstrip(" \t")) + 1)
 
-    head = tokens[0]
-    if head.kind != "word" or head.text not in _KEYWORDS:
-        return error("unknown-keyword", f"unknown keyword '{head.text}'", head.column)
-    keyword = head.text
+    tokens = ((match.lastgroup, match[match.lastgroup], match.start() + 1)
+              for match in _TOKEN_RE.finditer(code))
+    end = None, None, None  # the kind, text and column past the last token
+    kind, keyword, column = next(tokens, end)
+    if kind is None:
+        return None
+    if kind != "word" or keyword not in _KEYWORDS:
+        return error("unknown-keyword", f"unknown keyword '{keyword}'", column)
 
     if keyword == "check":
-        if len(tokens) < 4:
+        # All three are counted before the first is checked.
+        (kind, ident, column), index, answer = (next(tokens, end)
+                                                for _ in range(3))
+        if answer is end:
             return missing("check needs an NFR id, a question number and yes/no")
-        ident, index_tok, answer_tok = tokens[1], tokens[2], tokens[3]
-        if ident.kind != "word" or not _ID_RE.match(ident.text):
-            return error("bad-identifier",
-                         f"bad identifier '{ident.text}'", ident.column)
-        if index_tok.kind != "word" or index_tok.text.lstrip("0") not in _SLOT:
+        if kind != "word" or not _ID_RE.match(ident):
+            return error("bad-identifier", f"bad identifier '{ident}'", column)
+        kind, index, column = index
+        if kind != "word" or index.lstrip("0") not in _SLOT:
             return error("bad-checklist-index",
                          f"checklist question number must be 1..{CHECKLIST_SIZE},"
-                         f" got '{index_tok.text}'",
-                         index_tok.column)
-        if answer_tok.kind != "word" or answer_tok.text not in (YES, NO):
+                         f" got '{index}'", column)
+        kind, answer, column = answer
+        if kind != "word" or answer not in (YES, NO):
             return error("bad-checklist-answer",
-                         f"checklist answer must be yes or no, got"
-                         f" '{answer_tok.text}'",
-                         answer_tok.column)
-        if len(tokens) > 4:
-            return error("malformed-line",
-                         f"unexpected '{tokens[4].text}' after answer",
-                         tokens[4].column)
-        return (ident.text, index_tok.text.lstrip("0"), answer_tok.text,
-                None, None, None, None)
+                         f"checklist answer must be yes or no, got '{answer}'",
+                         column)
+        kind, word, column = next(tokens, end)
+        if kind is not None:
+            return error("malformed-line", f"unexpected '{word}' after answer",
+                         column)
+        return ident, index.lstrip("0"), answer, None, None, None, None
 
-    ident, rest = "", tokens[1:]
+    ident = ""
     if keyword != "system":
-        if not rest:
+        kind, ident, column = next(tokens, end)
+        if kind is None:
             return missing(f"{keyword} needs an identifier")
-        token, *rest = rest
-        if token.kind != "word":
+        if kind != "word":
             return error("malformed-line",
-                         f"expected identifier, got '{token.text}'", token.column)
-        if not _ID_RE.match(token.text):
-            return error("bad-identifier", f"bad identifier '{token.text}'",
-                         token.column)
-        ident = token.text
-    if not rest:
+                         f"expected identifier, got '{ident}'", column)
+        if not _ID_RE.match(ident):
+            return error("bad-identifier", f"bad identifier '{ident}'", column)
+    kind, name, column = next(tokens, end)
+    if kind is None:
         return missing(f"{keyword} needs a quoted display name")
-    token, *rest = rest
-    if token.kind != "string":
+    if kind != "string":
         return error("malformed-line",
-                     f"expected quoted display name, got '{token.text}'",
-                     token.column)
-    name = token.text
+                     f"expected quoted display name, got '{name}'", column)
     connective = _CONNECTIVE.get(keyword)
+    kind, word, column = next(tokens, end)
     if connective is None:
-        if rest:
+        if kind is not None:
             return error("malformed-line",
-                         f"unexpected '{rest[0].text}' after display name",
-                         rest[0].column)
+                         f"unexpected '{word}' after display name", column)
         return None, None, None, keyword, ident, name, None
-    if not rest:
+    if kind is None:
         return missing(f"{keyword} needs '{connective}' and at least one id")
-    if rest[0].kind != "word" or rest[0].text != connective:
+    if kind != "word" or word != connective:
         return error("malformed-line",
-                     f"expected '{connective}', got '{rest[0].text}'",
-                     rest[0].column)
+                     f"expected '{connective}', got '{word}'", column)
 
     # Ids at even positions, commas at odd ones.
-    refs = rest[1:]
-    for position, token in enumerate(refs):
-        if position % 2:
-            if token.kind != "comma":
+    refs: list[str] = []
+    for kind, word, column in tokens:
+        if len(refs) % 2:
+            if kind != "comma":
                 return error("malformed-line",
-                             f"expected ',' between ids, got '{token.text}'",
-                             token.column)
-        elif token.kind != "word":
+                             f"expected ',' between ids, got '{word}'", column)
+        elif kind != "word":
             return error("malformed-line",
-                         f"expected an id, got '{token.text}'", token.column)
-        elif not _ID_RE.match(token.text):
-            return error("bad-identifier",
-                         f"bad identifier '{token.text}'", token.column)
+                         f"expected an id, got '{word}'", column)
+        elif not _ID_RE.match(word):
+            return error("bad-identifier", f"bad identifier '{word}'", column)
+        refs.append(word)
     if len(refs) % 2 == 0:
         return missing(f"{keyword} needs at least one id after '{connective}'"
                        if not refs else "trailing ',' without an id")
-    return (None, None, None, keyword, ident, name,
-            tuple(token.text for token in refs[::2]))
+    return None, None, None, keyword, ident, name, tuple(refs[::2])
 
 
 def parse(source: str | bytes) -> Model | list[ParseError]:

@@ -392,6 +392,20 @@ _T = 'system "T"\n'
 PARSE_ERROR_GOLDEN = [
     (_T + 'stakeholder s "S', "unterminated-string", 2, 15,
      "unterminated display name"),
+    # A quote that opens no name outranks every other problem on its
+    # line, even one that comes before it.
+    (_T + 'goal G "x" for a b "open', "unterminated-string", 2, 20,
+     "unterminated display name"),
+    (_T + 'check N 1 yes "x', "unterminated-string", 2, 15,
+     "unterminated display name"),
+    (_T + 'nfr n "N" on a,, b "x', "unterminated-string", 2, 20,
+     "unterminated display name"),
+    (_T + 'system x "y', "unterminated-string", 2, 10,
+     "unterminated display name"),
+    (_T + 'stakeholder s "S" extra "', "unterminated-string", 2, 25,
+     "unterminated display name"),
+    (_T + 'goal g "a#b" for s "', "unterminated-string", 2, 20,
+     "unterminated display name"),
     (_T + 'stakehodler s "S"', "unknown-keyword", 2, 1,
      "unknown keyword 'stakehodler'"),
     (_T + ', a', "unknown-keyword", 2, 1, "unknown keyword ','"),
@@ -404,6 +418,9 @@ PARSE_ERROR_GOLDEN = [
      "unexpected 'B' after display name"),
     # check
     (_T + 'check n 1', "malformed-line", 2, 10,
+     "check needs an NFR id, a question number and yes/no"),
+    # Its three parts are counted before the first is checked.
+    (_T + 'check N 1', "malformed-line", 2, 10,
      "check needs an NFR id, a question number and yes/no"),
     (_T + 'check N 1 yes', "bad-identifier", 2, 7, "bad identifier 'N'"),
     (_T + 'check n 9 yes', "bad-checklist-index", 2, 9,
@@ -484,14 +501,42 @@ def test_parse_error_message_golden(text, kind, line, column, message):
 
 def test_malformed_statement_shapes():
     # A missing part is reported just past the last token; after a quoted
-    # name that is one past the closing quote.
+    # name that is one past the closing quote.  Blanks and a comment after
+    # the last token move nothing.
     missing = [(text, column)
                for text, kind, _, column, message in PARSE_ERROR_GOLDEN
                if kind == "malformed-line"
                and ("needs" in message or message.startswith("trailing"))]
-    assert len(missing) == 18
+    assert len(missing) == 19
     for text, column in missing:
         assert column == len(text.rsplit("\n", 1)[-1]) + 1, text
+        assert errors_of(text + ' \t# "x, y\n') == errors_of(text + "\n")
+
+
+def test_walker_stops_at_the_first_problem(monkeypatch):
+    # Tokens are read one at a time, so a long line with an early problem
+    # costs what its first few tokens cost, not what the whole line does.
+    pulled = []
+    token_re = dsl._TOKEN_RE
+
+    class CountedTokens:
+        def finditer(self, code):
+            for match in token_re.finditer(code):
+                pulled.append(match)
+                yield match
+
+    monkeypatch.setattr(dsl, "_TOKEN_RE", CountedTokens())
+    for line, expected in [
+            ('goal g "G" for ' + "a " * 10_000,
+             ParseError("malformed-line", 2, 18,
+                        "expected ',' between ids, got 'a'")),
+            ('nfr x "X" on' + ", " * 10_000,
+             ParseError("malformed-line", 2, 13, "expected an id, got ','")),
+            ("Bad " + "x " * 10_000,
+             ParseError("unknown-keyword", 2, 1, "unknown keyword 'Bad'"))]:
+        pulled.clear()
+        assert dsl._parse_line(line, 2) == expected
+        assert 0 < len(pulled) <= 6, line[:20]
 
 
 def test_checklist_index_bounds():
@@ -874,8 +919,9 @@ _S = 'system "T"\n'
     (_S + '\nstakeholder s "S"\nbogus', [("unknown-keyword", 4, 1)]),
     (_S + '\nstakeholder s "S"\nbogus\r\n', [("unknown-keyword", 4, 1)]),
     (_S + '\n\nstakeholder s "S"\n', ("S", 4)),
-    # A comment runs to the line's end, CRs included.
+    # A comment runs to the line's end, CRs and quotes included.
     (_S + 'stakeholder s "S" # note\r\r\n', ("S", 2)),
+    (_S + 'stakeholder s "S" # "open\n', ("S", 2)),
     ('system "T" #\r', None),
 ])
 def test_scanner_line_edges(text, expected, walker_calls, monkeypatch):
